@@ -25,18 +25,6 @@ inline int64_t NowNs() {
       .count();
 }
 
-/// Wall-clock for one Photon execution of a plan; result rows out-param.
-inline int64_t TimePhoton(const plan::PlanPtr& p, int64_t* rows = nullptr) {
-  Result<OperatorPtr> op = plan::CompilePhoton(p);
-  PHOTON_CHECK(op.ok());
-  int64_t t0 = NowNs();
-  Result<Table> result = CollectAll(op->get());
-  int64_t elapsed = NowNs() - t0;
-  PHOTON_CHECK(result.ok());
-  if (rows != nullptr) *rows = result->num_rows();
-  return elapsed;
-}
-
 /// Wall-clock for one baseline execution of the same plan.
 inline int64_t TimeBaseline(
     const plan::PlanPtr& p, int64_t* rows = nullptr,
@@ -81,6 +69,13 @@ inline int64_t TimeSingleTask(exec::Driver* driver, const plan::PlanPtr& p,
   if (rows != nullptr) *rows = result->num_rows();
   if (checksum != nullptr) *checksum = TableChecksum(*result);
   return elapsed;
+}
+
+/// Wall-clock for one single-task Photon run of a plan, planning
+/// included; result rows out-param.
+inline int64_t TimePhoton(const plan::PlanPtr& p, int64_t* rows = nullptr) {
+  exec::Driver driver(1);
+  return TimeSingleTask(&driver, p, rows);
 }
 
 /// Best of `reps` runs (the paper reports minimum across runs, §6.2).

@@ -87,8 +87,9 @@ class Compactor {
   Options options_;
   TaskScheduler* scheduler_;
   int64_t query_slot_ = -1;
-  /// RunSingleTask executes inline on the calling thread, so this driver's
-  /// pools stay idle; it only exists to compile and drain scan plans.
+  /// RunSingleTask drains every stage as one morsel inline on the calling
+  /// thread, so this driver's pools stay idle; it only plans and runs the
+  /// coalescing scans.
   Driver driver_{1, 1};
   std::function<void(int64_t)> commit_listener_;
 

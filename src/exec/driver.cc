@@ -27,14 +27,11 @@ int64_t NowNs() { return obs::WallNowNs(); }
 constexpr int kMorselBatches = 8;   // table batches per morsel
 constexpr int kFilesPerMorsel = 2;  // scan files per morsel
 
-// Process-wide counters: task groups and shuffle ids must be unique
-// across *all* Driver instances. Concurrent sessions each construct a
-// driver over one shared MemoryManager and object store; colliding group
-// ids would put two queries' consumers in one spill-victim set (a
-// cross-thread Spill() race), and colliding shuffle ids would mix their
-// blocks.
+// Process-wide counter: task groups must be unique across *all* Driver
+// instances. Concurrent sessions each construct a driver over one shared
+// MemoryManager; colliding group ids would put two queries' consumers in
+// one spill-victim set (a cross-thread Spill() race).
 std::atomic<int64_t> g_next_task_group{1};
-std::atomic<int64_t> g_next_shuffle_id{0};
 
 int64_t NextTaskGroup() {
   return g_next_task_group.fetch_add(1, std::memory_order_relaxed);
@@ -44,19 +41,6 @@ int64_t NextTaskGroup() {
 Status CheckAlive(const ExecContext& ctx) {
   return ctx.control != nullptr ? ctx.control->Check() : Status::OK();
 }
-
-/// Deletes a shuffle's blocks on scope exit: a failed map or reduce task
-/// must not leak shuffle data in the object store.
-class ShuffleGuard {
- public:
-  explicit ShuffleGuard(std::string id) : id_(std::move(id)) {}
-  ~ShuffleGuard() { DeleteShuffle(id_); }
-  ShuffleGuard(const ShuffleGuard&) = delete;
-  ShuffleGuard& operator=(const ShuffleGuard&) = delete;
-
- private:
-  std::string id_;
-};
 
 /// Appends compacted copies of every batch of `src` to `dst`.
 void AppendTable(const Table& src, Table* dst) {
@@ -96,10 +80,20 @@ FusedStage StageOf(const plan::PlanNode& node) {
   return stage;
 }
 
+/// Refuses over-deep expressions anywhere in the plan before any recursive
+/// walker (optimizer rewrites, fusion, tree Evaluate) can touch them.
+Status CheckExprDepths(const plan::PlanNode& node) {
+  PHOTON_RETURN_NOT_OK(plan::CheckNodeExprDepths(node));
+  for (const plan::PlanPtr& child : node.children) {
+    PHOTON_RETURN_NOT_OK(CheckExprDepths(*child));
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Parallel plan execution
+// Plan execution
 // ---------------------------------------------------------------------------
 
 struct Driver::RunState {
@@ -109,11 +103,14 @@ struct Driver::RunState {
   /// path); set when either a stage list or a QueryProfile was requested.
   obs::ProfileBuilder* profile = nullptr;
   int next_stage_id = 0;
+  /// RunSingleTask: every stage is one morsel, drained inline, and join
+  /// builds stream inside the task (StagedFragment::build_frags).
+  bool single_task = false;
 };
 
 /// A fragment compiled for morsel execution: the cut plus everything the
 /// per-morsel operator chains share — the source table or pruned file
-/// list, and one immutable join-build state per in-fragment join.
+/// list, and the build side of each in-fragment join.
 struct Driver::StagedFragment {
   plan::FragmentCut cut;
 
@@ -121,6 +118,7 @@ struct Driver::StagedFragment {
   std::unique_ptr<Table> staged;        // owns a materialized kStage input
   std::vector<std::string> files;       // kDeltaFiles leaf, post-pruning
   int64_t files_pruned = 0;
+  io::IoOptions io;                     // kDeltaFiles leaf's scan IO
 
   /// One physical operator per group: a [begin, end) root-first range of
   /// cut.nodes. `unit` non-null = the range executes as one
@@ -133,9 +131,13 @@ struct Driver::StagedFragment {
   };
   std::vector<FusedGroup> groups;
 
-  /// Parallel to cut.nodes; non-null only at kJoin positions. Built once,
-  /// probed concurrently by every task (entries own their bytes).
+  /// Parallel to cut.nodes; at each kJoin position exactly one is set.
+  /// `builds`: built once, probed concurrently by every task (entries own
+  /// their bytes). `build_frags` (RunSingleTask): the build side's own
+  /// fragment, instantiated inside the one task and hashed as it streams,
+  /// so a build input is never materialized first.
   std::vector<JoinBuildPtr> builds;
+  std::vector<std::unique_ptr<StagedFragment>> build_frags;
 
   /// Profile node ids (all -1 when profiling is off): one per *group*,
   /// plus the leaf scan; top_node_id is the chain's root, attached to its
@@ -151,20 +153,34 @@ struct Driver::StagedFragment {
 Result<Table> Driver::Run(const plan::PlanPtr& plan, ExecContext ctx,
                           std::vector<StageInfo>* stages,
                           obs::QueryProfile* profile) {
+  return Execute(plan, ctx, stages, profile, /*single_task=*/false);
+}
+
+Result<Table> Driver::RunSingleTask(const plan::PlanPtr& plan,
+                                    ExecContext ctx,
+                                    std::vector<StageInfo>* stages,
+                                    obs::QueryProfile* profile) {
+  return Execute(plan, ctx, stages, profile, /*single_task=*/true);
+}
+
+Result<Table> Driver::Execute(const plan::PlanPtr& plan, ExecContext ctx,
+                              std::vector<StageInfo>* stages,
+                              obs::QueryProfile* profile, bool single_task) {
+  PHOTON_RETURN_NOT_OK(CheckExprDepths(*plan));
   if (ctx.optimizer == OptimizerPolicy::kOn) {
-    ExecContext off = ctx;
-    off.optimizer = OptimizerPolicy::kOff;
-    return Run(opt::Optimize(plan), off, stages, profile);
+    ctx.optimizer = OptimizerPolicy::kOff;
+    return Execute(opt::Optimize(plan), ctx, stages, profile, single_task);
   }
   RunState state;
   state.ctx = ctx;
   state.stages = stages;
+  state.single_task = single_task;
   obs::ProfileBuilder builder;
   if (stages != nullptr || profile != nullptr) state.profile = &builder;
   int64_t t0 = NowNs();
   Result<Table> out = RunNode(plan, &state, -1);
   if (profile != nullptr) {
-    *profile = builder.Finish(NowNs() - t0, num_threads());
+    *profile = builder.Finish(NowNs() - t0, single_task ? 1 : num_threads());
   }
   return out;
 }
@@ -278,15 +294,27 @@ Result<Driver::StagedFragment> Driver::PrepareFragment(
   }
 
   // Build sides of in-fragment joins: each is materialized by its own
-  // (recursive) stages, then hashed once into a shared build state. In
-  // the profile the build subtree hangs under the join node, next to the
-  // probe-side chain. (Joins are always singleton groups.)
+  // (recursive) stages, then hashed once into a shared build state; a
+  // single task instead keeps the build's fragment and hashes it inside
+  // the task. In the profile the build subtree hangs under the join node,
+  // next to the probe-side chain. (Joins are always singleton groups.)
   frag.builds.resize(nodes.size());
+  frag.build_frags.resize(nodes.size());
   for (size_t g = 0; g < frag.groups.size(); g++) {
     size_t idx = static_cast<size_t>(frag.groups[g].begin);
     const plan::PlanNode* node = nodes[idx];
     if (frag.groups[g].unit != nullptr ||
         node->kind != plan::PlanKind::kJoin) {
+      continue;
+    }
+    if (state->single_task) {
+      PHOTON_ASSIGN_OR_RETURN(StagedFragment build,
+                              PrepareFragment(node->children[1], state));
+      if (profile != nullptr) {
+        profile->SetParent(build.top_node_id, frag.node_ids[g]);
+      }
+      frag.build_frags[idx] =
+          std::make_unique<StagedFragment>(std::move(build));
       continue;
     }
     PHOTON_ASSIGN_OR_RETURN(
@@ -317,6 +345,13 @@ Result<Driver::StagedFragment> Driver::PrepareFragment(
                           leaf->scan_predicate, projected, &frag.files_pruned);
       frag.units = static_cast<int>(frag.files.size());
       frag.units_per_morsel = kFilesPerMorsel;
+      frag.io = leaf->scan_io;
+      // Read-aheads go to the driver's IO pool; sharing the worker pool
+      // would let a prefetch future queue behind the very task waiting on
+      // it. A single-task run has no worker pool, so it keeps the plan's.
+      if (frag.io.prefetch_pool != nullptr && !state->single_task) {
+        frag.io.prefetch_pool = io_pool_;
+      }
       if (profile != nullptr && frag.files_pruned > 0) {
         // Pruning happens once at plan time, not in any task.
         profile->NodeSet(frag.leaf_node_id)
@@ -334,6 +369,7 @@ Result<Driver::StagedFragment> Driver::PrepareFragment(
       break;
     }
   }
+  if (state->single_task) frag.units_per_morsel = std::max(1, frag.units);
   return frag;
 }
 
@@ -346,18 +382,13 @@ Result<OperatorPtr> Driver::InstantiateFragment(const StagedFragment& frag,
     const plan::PlanNode* leaf = frag.cut.leaf.get();
     std::vector<std::string> subset(frag.files.begin() + morsel.begin,
                                     frag.files.begin() + morsel.end);
-    io::IoOptions io = leaf->scan_io;
-    // Read-aheads go to the driver's IO pool; sharing the worker pool
-    // would let a prefetch future queue behind the very task waiting on
-    // it.
-    if (io.prefetch_pool != nullptr) io.prefetch_pool = io_pool_;
     op = OperatorPtr(new FileScanOperator(leaf->store, std::move(subset),
                                           leaf->snapshot.schema,
                                           leaf->scan_columns,
-                                          leaf->scan_predicate, io));
+                                          leaf->scan_predicate, frag.io));
   } else {
-    op = OperatorPtr(
-        new TableSliceScan(frag.source_table, morsel.begin, morsel.end));
+    op = OperatorPtr(new InMemoryScanOperator(frag.source_table, morsel.begin,
+                                              morsel.end));
   }
   if (harvest != nullptr) harvest->emplace_back(op.get(), frag.leaf_node_id);
 
@@ -381,9 +412,19 @@ Result<OperatorPtr> Driver::InstantiateFragment(const StagedFragment& frag,
             new ProjectOperator(std::move(op), node->exprs, node->names));
         break;
       case plan::PlanKind::kJoin:
-        op = OperatorPtr(new HashJoinOperator(
-            frag.builds[grp.begin], std::move(op), node->left_keys,
-            node->join_type, task_ctx, node->residual));
+        if (const StagedFragment* build = frag.build_frags[grp.begin].get()) {
+          PHOTON_ASSIGN_OR_RETURN(
+              OperatorPtr build_op,
+              InstantiateFragment(*build, Morsel{0, build->units}, task_ctx,
+                                  harvest));
+          op = OperatorPtr(new HashJoinOperator(
+              std::move(build_op), std::move(op), node->right_keys,
+              node->left_keys, node->join_type, task_ctx, node->residual));
+        } else {
+          op = OperatorPtr(new HashJoinOperator(
+              frag.builds[grp.begin], std::move(op), node->left_keys,
+              node->join_type, task_ctx, node->residual));
+        }
         break;
       default:
         return Status::Internal("non-streaming node inside fragment");
@@ -405,8 +446,16 @@ Result<std::vector<std::unique_ptr<Table>>> Driver::RunMorselStage(
   obs::MetricSet* stage_set =
       profile != nullptr ? profile->StageSet(stage_id) : nullptr;
   if (profile != nullptr) {
-    for (int nid : frag.node_ids) profile->SetStage(nid, stage_id);
-    profile->SetStage(frag.leaf_node_id, stage_id);
+    // In-task build fragments (RunSingleTask) run in this stage too.
+    std::function<void(const StagedFragment&)> set_stage =
+        [&](const StagedFragment& f) {
+          for (int nid : f.node_ids) profile->SetStage(nid, stage_id);
+          profile->SetStage(f.leaf_node_id, stage_id);
+          for (const auto& build : f.build_frags) {
+            if (build != nullptr) set_stage(*build);
+          }
+        };
+    set_stage(frag);
     if (wrap_node_id >= 0) profile->SetStage(wrap_node_id, stage_id);
   }
   int64_t t0 = NowNs();
@@ -538,6 +587,8 @@ Result<Table> Driver::RunFragment(const plan::PlanPtr& node, RunState* state,
   PHOTON_ASSIGN_OR_RETURN(auto outputs,
                           RunMorselStage(frag, state, identity, -1, &info));
   if (state->stages != nullptr) state->stages->push_back(info);
+  // One morsel (always, for RunSingleTask): its output is already compact.
+  if (outputs.size() == 1) return std::move(*outputs[0]);
   Table out(node->output_schema);
   for (auto& t : outputs) {
     if (t != nullptr) AppendTable(*t, &out);
@@ -711,132 +762,6 @@ Result<Table> Driver::RunSort(const plan::PlanPtr& node, RunState* state,
   merge_info.num_tasks = 1;
   if (state->stages != nullptr) state->stages->push_back(merge_info);
   return merged;
-}
-
-// ---------------------------------------------------------------------------
-// Single-task + shuffle entry points
-// ---------------------------------------------------------------------------
-
-Result<Table> Driver::RunSingleTask(const plan::PlanPtr& plan,
-                                    ExecContext ctx, StageInfo* stage) {
-  if (ctx.optimizer == OptimizerPolicy::kOn) {
-    ExecContext off = ctx;
-    off.optimizer = OptimizerPolicy::kOff;
-    return RunSingleTask(opt::Optimize(plan), off, stage);
-  }
-  PHOTON_ASSIGN_OR_RETURN(OperatorPtr root, plan::CompilePhoton(plan, ctx));
-  int64_t t0 = NowNs();
-  Result<Table> result = CollectAll(root.get(), ctx.control);
-  if (stage != nullptr) {
-    stage->num_tasks = 1;
-    // Resource metrics (IO, memory, spill) fold over the whole tree into
-    // the stage view; rows/wall come from the root.
-    CollectTreeMetrics(root.get(), &stage->m);
-    stage->m[obs::Metric::kWallNs] = NowNs() - t0;
-    if (result.ok()) {
-      stage->m[obs::Metric::kRowsOut] = result->num_rows();
-      stage->m[obs::Metric::kBatches] = result->num_batches();
-    }
-  }
-  return result;
-}
-
-Result<Table> Driver::RunShuffledAggregate(
-    const Table& input, std::vector<ExprPtr> keys,
-    std::vector<std::string> key_names, std::vector<AggregateSpec> aggs,
-    int num_partitions, std::vector<StageInfo>* stages) {
-  std::string shuffle_id = "driver-" + std::to_string(g_next_shuffle_id.fetch_add(1));
-  // Any early return below (failed map task, failed reduce task) must
-  // still clean up whatever blocks were written.
-  ShuffleGuard guard(shuffle_id);
-
-  // ---- Stage 1: map tasks write the shuffle ------------------------------
-  int64_t t0 = NowNs();
-  int num_map_tasks =
-      std::min(num_threads(), std::max(1, input.num_batches()));
-  int batches_per_task =
-      (input.num_batches() + num_map_tasks - 1) / std::max(1, num_map_tasks);
-  std::vector<std::future<Status>> map_futures;
-  for (int t = 0; t < num_map_tasks; t++) {
-    int begin = t * batches_per_task;
-    int end = std::min(input.num_batches(), begin + batches_per_task);
-    if (begin >= end) break;
-    map_futures.push_back(SubmitTask([&, t, begin, end]() -> Status {
-      ShuffleOptions options;
-      options.num_partitions = num_partitions;
-      options.writer_id = t;
-      auto write = std::make_unique<ShuffleWriteOperator>(
-          std::make_unique<TableSliceScan>(&input, begin, end), keys,
-          shuffle_id, options);
-      PHOTON_RETURN_NOT_OK(write->Open());
-      PHOTON_ASSIGN_OR_RETURN(ColumnBatch * sink, write->GetNext());
-      PHOTON_CHECK(sink == nullptr);
-      return Status::OK();
-    }));
-  }
-  Status map_status = Status::OK();
-  {
-    obs::TraceSpan barrier("stage_barrier", 0);
-    for (auto& f : map_futures) {
-      Status s = f.get();  // join every task before returning an error
-      if (map_status.ok() && !s.ok()) map_status = s;
-    }
-  }
-  PHOTON_RETURN_NOT_OK(map_status);
-  int64_t t1 = NowNs();
-  if (stages != nullptr) {
-    StageInfo map_stage;
-    map_stage.stage_id = 0;
-    map_stage.num_tasks = static_cast<int>(map_futures.size());
-    map_stage.m[obs::Metric::kRowsOut] = input.num_rows();
-    map_stage.m[obs::Metric::kShuffleBytes] = ShuffleDataBytes(shuffle_id);
-    map_stage.m[obs::Metric::kWallNs] = t1 - t0;
-    stages->push_back(map_stage);
-  }
-
-  // ---- Stage 2: reduce tasks aggregate partitions ------------------------
-  // (Stage boundary is blocking: stage 2 starts only after every map task
-  // finished, §2.2.)
-  std::vector<std::future<Result<Table>>> reduce_futures;
-  for (int p = 0; p < num_partitions; p++) {
-    reduce_futures.push_back(SubmitTask([&, p]() -> Result<Table> {
-      auto read = std::make_unique<ShuffleReadOperator>(input.schema(),
-                                                        shuffle_id, p);
-      auto agg = std::make_unique<HashAggregateOperator>(
-          std::move(read), keys, key_names, aggs);
-      return CollectAll(agg.get());
-    }));
-  }
-
-  Table out(plan::Aggregate(plan::Scan(&input), keys, key_names, aggs)
-                ->output_schema);
-  int64_t rows = 0;
-  Status reduce_status = Status::OK();
-  {
-    obs::TraceSpan barrier("stage_barrier", 1);
-    for (auto& f : reduce_futures) {
-      Result<Table> part = f.get();
-      if (!part.ok()) {
-        if (reduce_status.ok()) reduce_status = part.status();
-        continue;
-      }
-      rows += part->num_rows();
-      for (int b = 0; b < part->num_batches(); b++) {
-        out.AppendBatch(CompactBatch(part->batch(b)));
-      }
-    }
-  }
-  PHOTON_RETURN_NOT_OK(reduce_status);
-  int64_t t2 = NowNs();
-  if (stages != nullptr) {
-    StageInfo reduce_stage;
-    reduce_stage.stage_id = 1;
-    reduce_stage.num_tasks = num_partitions;
-    reduce_stage.m[obs::Metric::kRowsOut] = rows;
-    reduce_stage.m[obs::Metric::kWallNs] = t2 - t1;
-    stages->push_back(reduce_stage);
-  }
-  return out;
 }
 
 }  // namespace exec

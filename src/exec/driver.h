@@ -13,8 +13,6 @@
 #include "exec/task_scheduler.h"
 #include "exec/thread_pool.h"
 #include "obs/profile.h"
-#include "ops/hash_aggregate.h"
-#include "ops/shuffle.h"
 #include "plan/logical_plan.h"
 #include "plan/stage_planner.h"
 
@@ -23,9 +21,9 @@ namespace exec {
 
 /// Per-stage execution summary: a thin view over the obs metrics registry
 /// (the driver's slice of §5.5 live metrics). The snapshot is the merge of
-/// every task's metric shards at the stage barrier, so it is filled
-/// identically by the single-task and morsel-parallel paths, at every
-/// thread count.
+/// every task's metric shards at the stage barrier, so Run fills it
+/// identically at every thread count, and RunSingleTask fills the same
+/// view for its one-morsel stages.
 struct StageInfo {
   int stage_id = 0;
   int num_tasks = 0;
@@ -101,26 +99,17 @@ class Driver {
                     std::vector<StageInfo>* stages = nullptr,
                     obs::QueryProfile* profile = nullptr);
 
-  /// Two-stage distributed aggregation:
-  ///   Stage 1 (map):    split the input into one task per executor
-  ///                     thread; each task pipes its slice through a
-  ///                     Photon shuffle write hash-partitioned by `keys`.
-  ///   Stage 2 (reduce): one task per partition aggregates its partition.
-  /// Results are concatenated (order unspecified).
-  Result<Table> RunShuffledAggregate(const Table& input,
-                                     std::vector<ExprPtr> keys,
-                                     std::vector<std::string> key_names,
-                                     std::vector<AggregateSpec> aggs,
-                                     int num_partitions,
-                                     std::vector<StageInfo>* stages = nullptr);
-
-  /// Runs a single-task (single-threaded) Photon plan, like one task of a
-  /// stage (Figure 1: "Photon executes tasks on partitions of data on a
-  /// single thread"). When `stage` is non-null it is filled with the
-  /// task's rows/wall time plus the resource metrics (IO, memory, spill)
-  /// folded over the plan's operator tree.
+  /// Runs `plan` the way one Photon task runs (Figure 1: "Photon executes
+  /// tasks on partitions of data on a single thread"). The plan is cut
+  /// into the same stages as Run, but every stage is one morsel covering
+  /// its whole input, drained inline on the calling thread, and a join
+  /// hashes its build side inside that task as the build streams instead
+  /// of materializing it first. So there is no partial/final aggregate
+  /// split and no sorted-run merge, and the driver's pools are never
+  /// used. `stages` and `profile` as for Run.
   Result<Table> RunSingleTask(const plan::PlanPtr& plan, ExecContext ctx = {},
-                              StageInfo* stage = nullptr);
+                              std::vector<StageInfo>* stages = nullptr,
+                              obs::QueryProfile* profile = nullptr);
 
   /// Worker parallelism: the owned pool's size, or the shared
   /// scheduler's in service mode.
@@ -141,6 +130,10 @@ class Driver {
   /// morsel chain is drained.
   using Harvest = std::vector<std::pair<Operator*, int>>;
 
+  /// The one execution path behind Run and RunSingleTask.
+  Result<Table> Execute(const plan::PlanPtr& plan, ExecContext ctx,
+                        std::vector<StageInfo>* stages,
+                        obs::QueryProfile* profile, bool single_task);
   Result<Table> RunNode(const plan::PlanPtr& node, RunState* state,
                         int parent_node);
   Result<Table> RunFragment(const plan::PlanPtr& node, RunState* state,

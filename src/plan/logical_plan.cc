@@ -4,14 +4,8 @@
 #include "baseline/row_join.h"
 #include "baseline/row_ops.h"
 #include "baseline/row_sort.h"
-#include "expr/fusion.h"
 #include "expr/program.h"
 #include "ops/file_scan.h"
-#include "ops/filter.h"
-#include "ops/fused_filter_project.h"
-#include "ops/limit.h"
-#include "ops/project.h"
-#include "ops/scan.h"
 #include "plan/transition.h"
 
 namespace photon {
@@ -35,14 +29,8 @@ Schema AggSchema(const std::vector<ExprPtr>& keys,
   return schema;
 }
 
-bool IsFusable(PlanKind kind) {
-  return kind == PlanKind::kFilter || kind == PlanKind::kProject;
-}
+}  // namespace
 
-/// Depth-checks every expression hanging off one plan node (not its
-/// children — CompilePhoton/CompileBaseline recurse per node, so each node
-/// is checked exactly once on the way down). Gates all the recursive
-/// walkers behind it: canonicalization, program flattening, tree Evaluate.
 Status CheckNodeExprDepths(const PlanNode& node) {
   std::vector<const ExprPtr*> exprs;
   if (node.predicate != nullptr) exprs.push_back(&node.predicate);
@@ -61,20 +49,6 @@ Status CheckNodeExprDepths(const PlanNode& node) {
   }
   return Status::OK();
 }
-
-FusedStage StageOf(const PlanNode& node) {
-  FusedStage stage;
-  stage.is_filter = node.kind == PlanKind::kFilter;
-  if (stage.is_filter) {
-    stage.predicate = node.predicate;
-  } else {
-    stage.exprs = node.exprs;
-    stage.names = node.names;
-  }
-  return stage;
-}
-
-}  // namespace
 
 PlanPtr Scan(const Table* table) {
   auto node = std::make_shared<PlanNode>();
@@ -292,88 +266,6 @@ AggPreProject PlanAggPreProject(const PlanNode& agg) {
                       std::move(slot_names));
   out.fired = true;
   return out;
-}
-
-Result<OperatorPtr> CompilePhoton(const PlanPtr& plan, ExecContext ctx) {
-  PHOTON_RETURN_NOT_OK(CheckNodeExprDepths(*plan));
-  switch (plan->kind) {
-    case PlanKind::kScan:
-      return OperatorPtr(new InMemoryScanOperator(plan->table));
-    case PlanKind::kDeltaScan:
-      return OperatorPtr(new DeltaScanOperator(plan->store, plan->snapshot,
-                                               plan->scan_columns,
-                                               plan->scan_predicate,
-                                               plan->scan_io));
-    case PlanKind::kFilter:
-    case PlanKind::kProject: {
-      if (ctx.expr_policy != ExprPolicy::kTreeOnly) {
-        // Fusion pass: collapse the maximal run of filter/project nodes
-        // ending here into one FusedUnit (DESIGN.md §12). `cur` walks to
-        // the first non-fusable descendant; stages are fed bottom-up.
-        const PlanPtr* cur = &plan;
-        std::vector<const PlanNode*> run;
-        while (IsFusable((*cur)->kind)) {
-          run.push_back(cur->get());
-          cur = &(*cur)->children[0];
-        }
-        std::vector<FusedStage> stages;
-        stages.reserve(run.size());
-        for (auto it = run.rbegin(); it != run.rend(); ++it) {
-          stages.push_back(StageOf(**it));
-        }
-        Result<std::shared_ptr<const FusedUnit>> unit =
-            FusedUnit::Compile(stages, (*cur)->output_schema);
-        if (unit.ok()) {
-          PHOTON_ASSIGN_OR_RETURN(OperatorPtr child, CompilePhoton(*cur, ctx));
-          return OperatorPtr(new FusedFilterProjectOperator(
-              std::move(child), std::move(*unit), ctx.expr_policy));
-        }
-        // Unsupported expression somewhere in the run: fall through to the
-        // per-node operators (sub-runs below still get their own chance).
-      }
-      PHOTON_ASSIGN_OR_RETURN(OperatorPtr child,
-                              CompilePhoton(plan->children[0], ctx));
-      if (plan->kind == PlanKind::kFilter) {
-        return OperatorPtr(
-            new FilterOperator(std::move(child), plan->predicate));
-      }
-      return OperatorPtr(
-          new ProjectOperator(std::move(child), plan->exprs, plan->names));
-    }
-    case PlanKind::kAggregate: {
-      AggPreProject pre;
-      if (ctx.expr_policy != ExprPolicy::kTreeOnly) {
-        pre = PlanAggPreProject(*plan);
-      }
-      const PlanPtr& input = pre.fired ? pre.input : plan->children[0];
-      PHOTON_ASSIGN_OR_RETURN(OperatorPtr child, CompilePhoton(input, ctx));
-      return OperatorPtr(new HashAggregateOperator(
-          std::move(child), pre.fired ? pre.keys : plan->group_keys,
-          plan->key_names, pre.fired ? pre.aggregates : plan->aggregates,
-          ctx));
-    }
-    case PlanKind::kJoin: {
-      PHOTON_ASSIGN_OR_RETURN(OperatorPtr probe,
-                              CompilePhoton(plan->children[0], ctx));
-      PHOTON_ASSIGN_OR_RETURN(OperatorPtr build,
-                              CompilePhoton(plan->children[1], ctx));
-      return OperatorPtr(new HashJoinOperator(
-          std::move(build), std::move(probe), plan->right_keys,
-          plan->left_keys, plan->join_type, ctx, plan->residual));
-    }
-    case PlanKind::kSort: {
-      PHOTON_ASSIGN_OR_RETURN(OperatorPtr child,
-                              CompilePhoton(plan->children[0], ctx));
-      return OperatorPtr(
-          new SortOperator(std::move(child), plan->sort_keys, ctx));
-    }
-    case PlanKind::kLimit: {
-      PHOTON_ASSIGN_OR_RETURN(OperatorPtr child,
-                              CompilePhoton(plan->children[0], ctx));
-      return OperatorPtr(new LimitOperator(std::move(child), plan->limit));
-    }
-  }
-  return Status::Internal("bad plan kind");
 }
 
 Result<baseline::RowOperatorPtr> CompileBaseline(

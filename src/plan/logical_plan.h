@@ -17,8 +17,8 @@
 namespace photon {
 namespace plan {
 
-/// Engine-neutral logical operator kinds. A logical plan compiles to either
-/// engine (CompilePhoton / CompileBaseline), which is how the repository
+/// Engine-neutral logical operator kinds. A logical plan runs on either
+/// engine (exec::Driver / CompileBaseline), which is how the repository
 /// reproduces the paper's "identical logical plans during execution" setup
 /// for every head-to-head experiment (§6.2).
 enum class PlanKind : uint8_t {
@@ -108,8 +108,11 @@ PlanPtr Limit(PlanPtr child, int64_t n);
 ExprPtr ColOf(const PlanPtr& plan, const std::string& name);
 int ColIndex(const PlanPtr& plan, const std::string& name);
 
-/// Compiles to a Photon physical operator tree.
-Result<OperatorPtr> CompilePhoton(const PlanPtr& plan, ExecContext ctx = {});
+/// Depth-checks every expression hanging off one plan node (not its
+/// children: callers walk the plan, checking each node once). Gates all
+/// the recursive walkers behind it: optimizer rewrites, canonicalization,
+/// program flattening, tree Evaluate.
+Status CheckNodeExprDepths(const PlanNode& node);
 
 /// Result of the aggregate pre-projection rewrite (DESIGN.md §12): when an
 /// aggregate computes non-trivial argument expressions (e.g. Q1's

@@ -2,15 +2,12 @@
 
 #include <atomic>
 
-#include "common/rng.h"
-#include "exec/driver.h"
 #include "exec/thread_pool.h"
 #include "expr/builder.h"
 #include "ops/file_scan.h"
 #include "ops/filter.h"
 #include "ops/hash_aggregate.h"
 #include "ops/scan.h"
-#include "plan/logical_plan.h"
 #include "storage/format.h"
 
 namespace photon {
@@ -132,58 +129,6 @@ TEST(FileScanTest, MultipleFilesAndProjection) {
   EXPECT_EQ(result->num_rows(), 300);
   EXPECT_EQ(result->schema().num_fields(), 1);
   EXPECT_EQ(scan->op_metrics().Value(obs::Metric::kFilesRead), 3);
-}
-
-// --- Metrics through the driver ----------------------------------------------
-
-TEST(DriverMetricsTest, StagesReportShuffleBytes) {
-  Schema schema(
-      {Field("k", DataType::Int64()), Field("v", DataType::Int64())});
-  TableBuilder builder(schema);
-  Rng rng(5);
-  for (int i = 0; i < 10000; i++) {
-    builder.AppendRow(
-        {Value::Int64(rng.Uniform(0, 9)), Value::Int64(rng.Uniform(0, 99))});
-  }
-  Table t = builder.Finish();
-
-  exec::Driver driver(2);
-  plan::PlanPtr p = plan::Scan(&t);
-  std::vector<exec::StageInfo> stages;
-  Result<Table> result = driver.RunShuffledAggregate(
-      t, {plan::ColOf(p, "k")}, {"k"},
-      {AggregateSpec{AggKind::kSum, plan::ColOf(p, "v"), "s"}}, 4, &stages);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->num_rows(), 10);
-  ASSERT_EQ(stages.size(), 2u);
-  EXPECT_GT(stages[0].shuffle_bytes(), 0);
-  EXPECT_GT(stages[0].wall_ns(), 0);
-  EXPECT_GT(stages[1].wall_ns(), 0);
-}
-
-TEST(DriverShuffleTest, FailedMapTaskLeaksNoShuffleBlocks) {
-  Schema schema(
-      {Field("k", DataType::Int64()), Field("v", DataType::Int64())});
-  TableBuilder builder(schema, 256);
-  Rng rng(9);
-  for (int i = 0; i < 4000; i++) {
-    builder.AppendRow(
-        {Value::Int64(rng.Uniform(0, 9)), Value::Int64(rng.Uniform(0, 99))});
-  }
-  Table t = builder.Finish();
-
-  size_t blocks_before = ObjectStore::Default().List("shuffle/").size();
-  ObjectStore::Default().FailNextPuts(1);  // first shuffle block write fails
-
-  exec::Driver driver(2);
-  plan::PlanPtr p = plan::Scan(&t);
-  Result<Table> result = driver.RunShuffledAggregate(
-      t, {plan::ColOf(p, "k")}, {"k"},
-      {AggregateSpec{AggKind::kSum, plan::ColOf(p, "v"), "s"}}, 4);
-  EXPECT_FALSE(result.ok());
-  // The failed run must not leak shuffle blocks: every block the surviving
-  // map tasks managed to write is deleted on the error path.
-  EXPECT_EQ(ObjectStore::Default().List("shuffle/").size(), blocks_before);
 }
 
 }  // namespace

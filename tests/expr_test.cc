@@ -5,6 +5,7 @@
 #include <cstring>
 #include <limits>
 
+#include "exec/driver.h"
 #include "expr/builder.h"
 #include "expr/function_registry.h"
 #include "expr/fusion.h"
@@ -853,17 +854,23 @@ TEST(ExprDepthLimitTest, DeepTreesErrorCleanlyInsteadOfOverflowing) {
   }
   EXPECT_TRUE(CheckExpressionDepth(*at_limit).ok());
 
-  // Both engine compilers refuse the plan up front, before any recursive
-  // walker (canonicalization, fusion, tree Evaluate) can touch the tree.
+  // Both engines refuse the plan up front, before any recursive walker
+  // (canonicalization, fusion, tree Evaluate) can touch the tree: Photon
+  // through every driver entry point, at one and several threads.
   Schema schema({Field("flag", DataType::Boolean())});
   TableBuilder tb(schema, 16);
   tb.AppendRow({Value::Boolean(true)});
   Table table = tb.Finish();
   plan::PlanPtr p = plan::Filter(plan::Scan(&table), deep);
-  Result<OperatorPtr> photon = plan::CompilePhoton(p);
-  ASSERT_FALSE(photon.ok());
-  EXPECT_NE(photon.status().ToString().find("nested deeper"),
-            std::string::npos);
+  auto expect_refused = [](const Result<Table>& r) {
+    ASSERT_FALSE(r.ok());
+    EXPECT_NE(r.status().ToString().find("nested deeper"), std::string::npos);
+  };
+  exec::Driver one(1);
+  exec::Driver four(4);
+  expect_refused(one.RunSingleTask(p));
+  expect_refused(one.Run(p));
+  expect_refused(four.Run(p));
   EXPECT_FALSE(plan::CompileBaseline(p).ok());
 }
 

@@ -463,19 +463,24 @@ TEST(DeltaIoTest, LogReplayIsCachedAcrossSnapshots) {
   io.cache = &cache;
   exec::Driver driver(2);
   plan::PlanPtr plan = plan::DeltaScan(&store, *second, {}, nullptr, io);
-  exec::StageInfo cold_stage;
-  Result<Table> cold = driver.RunSingleTask(plan, {}, &cold_stage);
+  std::vector<exec::StageInfo> cold_stages;
+  Result<Table> cold = driver.RunSingleTask(plan, {}, &cold_stages);
   ASSERT_TRUE(cold.ok());
   EXPECT_EQ(cold->num_rows(), 300);
+  ASSERT_EQ(cold_stages.size(), 1u);
+  const exec::StageInfo& cold_stage = cold_stages[0];
+  EXPECT_EQ(cold_stage.num_tasks, 1);
   EXPECT_EQ(cold_stage.rows_out(), 300);
   EXPECT_EQ(cold_stage.cache_hits(), 0);
 
   int64_t gets_before_warm = store.num_gets();
-  exec::StageInfo warm_stage;
-  Result<Table> warm = driver.RunSingleTask(plan, {}, &warm_stage);
+  std::vector<exec::StageInfo> warm_stages;
+  Result<Table> warm = driver.RunSingleTask(plan, {}, &warm_stages);
   ASSERT_TRUE(warm.ok());
   EXPECT_EQ(warm->num_rows(), 300);
   EXPECT_EQ(store.num_gets(), gets_before_warm);
+  ASSERT_EQ(warm_stages.size(), 1u);
+  const exec::StageInfo& warm_stage = warm_stages[0];
   EXPECT_EQ(warm_stage.cache_hits(), warm_stage.files_read());
   EXPECT_GT(warm_stage.bytes_read(), 0);
 }

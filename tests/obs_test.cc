@@ -344,26 +344,33 @@ TEST(QueryProfileTest, AllTpchPlansEmitProfiles) {
   static const tpch::TpchData* data =
       new tpch::TpchData(tpch::GenerateTpch(kScale));
   exec::Driver driver(4);
-  for (int q = 1; q <= 22; q++) {
-    Result<plan::PlanPtr> p = tpch::TpchQuery(q, *data, kScale);
-    ASSERT_TRUE(p.ok()) << "q" << q << ": " << p.status().ToString();
-    std::vector<exec::StageInfo> stages;
-    obs::QueryProfile profile;
-    Result<Table> out = driver.Run(*p, {}, &stages, &profile);
-    ASSERT_TRUE(out.ok()) << "q" << q << ": " << out.status().ToString();
-    // The root operator's rows are the query result's rows, and the stage
-    // list agrees with the profile's flow totals.
-    EXPECT_EQ(profile.root.Sum(Metric::kRowsOut), out->num_rows())
-        << "q" << q << " root=" << profile.root.name;
-    EXPECT_GT(profile.wall_ns, 0) << "q" << q;
-    ASSERT_FALSE(stages.empty()) << "q" << q;
-    for (const exec::StageInfo& s : stages) {
-      EXPECT_GT(s.num_tasks, 0) << "q" << q;
-      EXPECT_GT(s.wall_ns(), 0) << "q" << q;
+  for (bool single_task : {false, true}) {
+    SCOPED_TRACE(single_task ? "RunSingleTask" : "Run");
+    for (int q = 1; q <= 22; q++) {
+      Result<plan::PlanPtr> p = tpch::TpchQuery(q, *data, kScale);
+      ASSERT_TRUE(p.ok()) << "q" << q << ": " << p.status().ToString();
+      std::vector<exec::StageInfo> stages;
+      obs::QueryProfile profile;
+      Result<Table> out =
+          single_task ? driver.RunSingleTask(*p, {}, &stages, &profile)
+                      : driver.Run(*p, {}, &stages, &profile);
+      ASSERT_TRUE(out.ok()) << "q" << q << ": " << out.status().ToString();
+      // The root operator's rows are the query result's rows, and the
+      // stage list agrees with the profile's flow totals.
+      EXPECT_EQ(profile.root.Sum(Metric::kRowsOut), out->num_rows())
+          << "q" << q << " root=" << profile.root.name;
+      EXPECT_GT(profile.wall_ns, 0) << "q" << q;
+      EXPECT_EQ(profile.num_threads, single_task ? 1 : 4) << "q" << q;
+      ASSERT_FALSE(stages.empty()) << "q" << q;
+      for (const exec::StageInfo& s : stages) {
+        EXPECT_GT(s.num_tasks, 0) << "q" << q;
+        if (single_task) EXPECT_EQ(s.num_tasks, 1) << "q" << q;
+        EXPECT_GT(s.wall_ns(), 0) << "q" << q;
+      }
+      std::string json = profile.ToJson();
+      EXPECT_NE(json.find("\"rows_out\""), std::string::npos) << "q" << q;
+      EXPECT_NE(json.find("\"wall_ns\""), std::string::npos) << "q" << q;
     }
-    std::string json = profile.ToJson();
-    EXPECT_NE(json.find("\"rows_out\""), std::string::npos) << "q" << q;
-    EXPECT_NE(json.find("\"wall_ns\""), std::string::npos) << "q" << q;
   }
 }
 

@@ -52,9 +52,8 @@ std::vector<std::vector<Value>> Sorted(std::vector<std::vector<Value>> rows) {
 /// Runs a plan through both engines and asserts identical result sets.
 /// This is the end-to-end consistency testing of §5.6.
 void ExpectEnginesAgree(const PlanPtr& p) {
-  Result<OperatorPtr> photon_op = plan::CompilePhoton(p);
-  ASSERT_TRUE(photon_op.ok()) << photon_op.status().ToString();
-  Result<Table> photon_result = CollectAll(photon_op->get());
+  exec::Driver driver(1);
+  Result<Table> photon_result = driver.RunSingleTask(p);
   ASSERT_TRUE(photon_result.ok()) << photon_result.status().ToString();
 
   for (plan::BaselineJoinImpl impl : {plan::BaselineJoinImpl::kSortMerge,
@@ -111,9 +110,8 @@ TEST(PlanConsistencyTest, SortWithExpressionsAndStrings) {
   p = plan::Limit(p, 100);
   // Limit after a total sort is deterministic (ties broken by stable sort
   // over identical input order in both engines).
-  Result<OperatorPtr> photon_op = plan::CompilePhoton(p);
-  ASSERT_TRUE(photon_op.ok());
-  Result<Table> a = CollectAll(photon_op->get());
+  exec::Driver driver(1);
+  Result<Table> a = driver.RunSingleTask(p);
   ASSERT_TRUE(a.ok());
   Result<baseline::RowOperatorPtr> base_op = plan::CompileBaseline(p);
   ASSERT_TRUE(base_op.ok());
@@ -205,33 +203,6 @@ TEST(ConverterTest, NothingSupportedMeansPureLegacy) {
   Result<Table> result = baseline::CollectAllRows(converted->root.get());
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->num_rows(), 10);
-}
-
-// --- Driver / stages ----------------------------------------------------------
-
-TEST(DriverTest, ShuffledAggregateMatchesSingleTask) {
-  Table sales = MakeSales(20000, 9);
-  exec::Driver driver(4);
-
-  PlanPtr p = plan::Scan(&sales);
-  std::vector<ExprPtr> keys = {plan::ColOf(p, "store")};
-  std::vector<AggregateSpec> aggs = {
-      AggregateSpec{AggKind::kSum, plan::ColOf(p, "amount"), "total"},
-      AggregateSpec{AggKind::kCountStar, nullptr, "n"}};
-
-  std::vector<exec::StageInfo> stages;
-  Result<Table> distributed = driver.RunShuffledAggregate(
-      sales, keys, {"store"}, aggs, /*num_partitions=*/8, &stages);
-  ASSERT_TRUE(distributed.ok()) << distributed.status().ToString();
-  ASSERT_EQ(stages.size(), 2u);
-  EXPECT_GT(stages[0].num_tasks, 1);
-  EXPECT_GT(stages[0].shuffle_bytes(), 0);
-  EXPECT_EQ(stages[1].num_tasks, 8);
-
-  PlanPtr agg_plan = plan::Aggregate(p, keys, {"store"}, aggs);
-  Result<Table> single = driver.RunSingleTask(agg_plan);
-  ASSERT_TRUE(single.ok());
-  EXPECT_EQ(Sorted(distributed->ToRows()), Sorted(single->ToRows()));
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "exec/driver.h"
 #include "plan/logical_plan.h"
 #include "tpch/tpch_gen.h"
 #include "tpch/tpch_queries.h"
@@ -62,9 +63,8 @@ TEST_P(TpchConsistencyTest, PhotonMatchesBaseline) {
   Result<plan::PlanPtr> p = tpch::TpchQuery(q, Data(), kTestScale);
   ASSERT_TRUE(p.ok()) << p.status().ToString();
 
-  Result<OperatorPtr> photon_op = plan::CompilePhoton(*p);
-  ASSERT_TRUE(photon_op.ok()) << photon_op.status().ToString();
-  Result<Table> photon_result = CollectAll(photon_op->get());
+  exec::Driver driver(1);
+  Result<Table> photon_result = driver.RunSingleTask(*p);
   ASSERT_TRUE(photon_result.ok()) << photon_result.status().ToString();
 
   Result<baseline::RowOperatorPtr> base_op = plan::CompileBaseline(*p);
@@ -87,9 +87,8 @@ INSTANTIATE_TEST_SUITE_P(AllQueries, TpchConsistencyTest,
 TEST(TpchResultTest, Q1ShapeIsSane) {
   Result<plan::PlanPtr> p = tpch::TpchQuery(1, Data(), kTestScale);
   ASSERT_TRUE(p.ok());
-  Result<OperatorPtr> op = plan::CompilePhoton(*p);
-  ASSERT_TRUE(op.ok());
-  Result<Table> r = CollectAll(op->get());
+  exec::Driver driver(1);
+  Result<Table> r = driver.RunSingleTask(*p);
   ASSERT_TRUE(r.ok());
   // Q1 groups by (returnflag, linestatus): at most 2x3 combinations exist
   // in generated data (A/F, N/F, N/O, R/F).
@@ -105,9 +104,8 @@ TEST(TpchResultTest, Q1ShapeIsSane) {
 TEST(TpchResultTest, Q6ReturnsSingleScalar) {
   Result<plan::PlanPtr> p = tpch::TpchQuery(6, Data(), kTestScale);
   ASSERT_TRUE(p.ok());
-  Result<OperatorPtr> op = plan::CompilePhoton(*p);
-  ASSERT_TRUE(op.ok());
-  Result<Table> r = CollectAll(op->get());
+  exec::Driver driver(1);
+  Result<Table> r = driver.RunSingleTask(*p);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->num_rows(), 1);
 }

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "vector/buffer_pool.h"
 #include "vector/column_batch.h"
 #include "vector/table.h"
 #include "vector/vector_serde.h"
@@ -104,35 +103,6 @@ TEST(ColumnBatchTest, CompactBatchPreservesActiveRowsOnly) {
   EXPECT_EQ(dense->column(0)->data<int32_t>()[2], 60);
   EXPECT_EQ(dense->column(1)->GetString(0).ToString(), "v2");
   EXPECT_EQ(dense->column(1)->GetString(2).ToString(), "v6");
-}
-
-TEST(BufferPoolTest, ReusesMostRecentlyReleased) {
-  BufferPool pool;
-  Buffer a = pool.Allocate(1000);
-  uint8_t* a_ptr = a.data();
-  pool.Release(std::move(a));
-  Buffer b = pool.Allocate(1000);
-  EXPECT_EQ(b.data(), a_ptr);  // MRU reuse
-  EXPECT_EQ(pool.hits(), 1);
-  EXPECT_EQ(pool.misses(), 1);
-}
-
-TEST(BufferPoolTest, SizeClassesDoNotMix) {
-  BufferPool pool;
-  Buffer small = pool.Allocate(100);
-  pool.Release(std::move(small));
-  Buffer big = pool.Allocate(100000);
-  EXPECT_GE(big.capacity(), 100000u);
-  EXPECT_EQ(pool.misses(), 2);
-}
-
-TEST(BufferPoolTest, TrimsOverCap) {
-  BufferPool pool;
-  pool.set_max_cached_bytes(4096);
-  for (int i = 0; i < 10; i++) {
-    pool.Release(Buffer(4096));
-  }
-  EXPECT_LE(pool.cached_bytes(), 4096u);
 }
 
 TEST(TableBuilderTest, BuildsBatches) {
