@@ -3,14 +3,14 @@
 #include <chrono>
 #include <utility>
 
+#include "exec/driver.h"
 #include "plan/logical_plan.h"
 
 namespace photon {
 namespace exec {
 
-Compactor::Compactor(DeltaTable* table, Options options,
-                     TaskScheduler* scheduler)
-    : table_(table), options_(options), scheduler_(scheduler) {}
+Compactor::Compactor(DeltaTable* table, Options options)
+    : table_(table), options_(options) {}
 
 Compactor::~Compactor() { Stop(); }
 
@@ -48,7 +48,7 @@ Status Compactor::RunOncePass() {
     view.files = group;
     PHOTON_ASSIGN_OR_RETURN(
         Table coalesced,
-        driver_.RunSingleTask(plan::DeltaScan(table_->store(),
+        Driver::RunSingleTask(plan::DeltaScan(table_->store(),
                                               std::move(view), {}, nullptr,
                                               options_.io)));
     std::vector<std::string> keys;
@@ -77,7 +77,6 @@ void Compactor::Start() {
   if (started_) return;
   started_ = true;
   stop_ = false;
-  if (scheduler_ != nullptr) query_slot_ = scheduler_->RegisterQuery();
   thread_ = std::thread([this] { Loop(); });
 }
 
@@ -89,10 +88,6 @@ void Compactor::Stop() {
   }
   cv_.notify_all();
   thread_.join();
-  if (scheduler_ != nullptr && query_slot_ >= 0) {
-    scheduler_->UnregisterQuery(query_slot_);
-    query_slot_ = -1;
-  }
   std::lock_guard<std::mutex> lock(mu_);
   started_ = false;
 }
@@ -105,17 +100,7 @@ void Compactor::Loop() {
                    [this] { return stop_; });
       if (stop_) return;
     }
-    Status status = Status::OK();
-    if (scheduler_ != nullptr) {
-      // Pass bodies are leaf work: they scan (may block on IO) and commit,
-      // but never wait on another worker's future.
-      std::future<Status> pass =
-          scheduler_->Submit(query_slot_, [this] { return RunOncePass(); });
-      status = pass.get();
-    } else {
-      status = RunOncePass();
-    }
-    if (!status.ok()) {
+    if (!RunOncePass().ok()) {
       std::lock_guard<std::mutex> lock(mu_);
       stats_.failed_passes++;
     }

@@ -8,8 +8,6 @@
 #include <thread>
 #include <vector>
 
-#include "exec/driver.h"
-#include "exec/task_scheduler.h"
 #include "io/caching_store.h"
 #include "storage/delta.h"
 
@@ -50,13 +48,8 @@ class Compactor {
     int64_t files_compacted = 0;
   };
 
-  /// Without a scheduler, passes run on the compactor's own background
-  /// thread. With one, each pass body is submitted as leaf work on the
-  /// shared worker pool under a registered query slot, so compaction
-  /// shares workers round-robin with live queries instead of owning a
-  /// core; the background thread only paces and joins pass futures.
-  Compactor(DeltaTable* table, Options options,
-            TaskScheduler* scheduler = nullptr);
+  /// Background passes run on the compactor's own thread (Start/Stop).
+  Compactor(DeltaTable* table, Options options);
   ~Compactor();
 
   Compactor(const Compactor&) = delete;
@@ -85,12 +78,6 @@ class Compactor {
 
   DeltaTable* table_;
   Options options_;
-  TaskScheduler* scheduler_;
-  int64_t query_slot_ = -1;
-  /// RunSingleTask drains every stage as one morsel inline on the calling
-  /// thread, so this driver's pools stay idle; it only plans and runs the
-  /// coalescing scans.
-  Driver driver_{1, 1};
   std::function<void(int64_t)> commit_listener_;
 
   mutable std::mutex mu_;

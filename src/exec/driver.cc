@@ -103,9 +103,12 @@ struct Driver::RunState {
   /// path); set when either a stage list or a QueryProfile was requested.
   obs::ProfileBuilder* profile = nullptr;
   int next_stage_id = 0;
-  /// RunSingleTask: every stage is one morsel, drained inline, and join
-  /// builds stream inside the task (StagedFragment::build_frags).
-  bool single_task = false;
+  /// The driver behind Run; null for RunSingleTask, where every stage is
+  /// one morsel, drained inline, and join builds stream inside the task
+  /// (StagedFragment::build_frags).
+  const Driver* driver = nullptr;
+
+  bool single_task() const { return driver == nullptr; }
 };
 
 /// A fragment compiled for morsel execution: the cut plus everything the
@@ -153,34 +156,36 @@ struct Driver::StagedFragment {
 Result<Table> Driver::Run(const plan::PlanPtr& plan, ExecContext ctx,
                           std::vector<StageInfo>* stages,
                           obs::QueryProfile* profile) {
-  return Execute(plan, ctx, stages, profile, /*single_task=*/false);
+  return Execute(plan, ctx, stages, profile, this);
 }
 
 Result<Table> Driver::RunSingleTask(const plan::PlanPtr& plan,
                                     ExecContext ctx,
                                     std::vector<StageInfo>* stages,
                                     obs::QueryProfile* profile) {
-  return Execute(plan, ctx, stages, profile, /*single_task=*/true);
+  return Execute(plan, ctx, stages, profile, nullptr);
 }
 
 Result<Table> Driver::Execute(const plan::PlanPtr& plan, ExecContext ctx,
                               std::vector<StageInfo>* stages,
-                              obs::QueryProfile* profile, bool single_task) {
+                              obs::QueryProfile* profile,
+                              const Driver* driver) {
   PHOTON_RETURN_NOT_OK(CheckExprDepths(*plan));
   if (ctx.optimizer == OptimizerPolicy::kOn) {
     ctx.optimizer = OptimizerPolicy::kOff;
-    return Execute(opt::Optimize(plan), ctx, stages, profile, single_task);
+    return Execute(opt::Optimize(plan), ctx, stages, profile, driver);
   }
   RunState state;
   state.ctx = ctx;
   state.stages = stages;
-  state.single_task = single_task;
+  state.driver = driver;
   obs::ProfileBuilder builder;
   if (stages != nullptr || profile != nullptr) state.profile = &builder;
   int64_t t0 = NowNs();
   Result<Table> out = RunNode(plan, &state, -1);
   if (profile != nullptr) {
-    *profile = builder.Finish(NowNs() - t0, single_task ? 1 : num_threads());
+    *profile = builder.Finish(NowNs() - t0,
+                              driver != nullptr ? driver->num_threads() : 1);
   }
   return out;
 }
@@ -307,7 +312,7 @@ Result<Driver::StagedFragment> Driver::PrepareFragment(
         node->kind != plan::PlanKind::kJoin) {
       continue;
     }
-    if (state->single_task) {
+    if (state->single_task()) {
       PHOTON_ASSIGN_OR_RETURN(StagedFragment build,
                               PrepareFragment(node->children[1], state));
       if (profile != nullptr) {
@@ -348,9 +353,9 @@ Result<Driver::StagedFragment> Driver::PrepareFragment(
       frag.io = leaf->scan_io;
       // Read-aheads go to the driver's IO pool; sharing the worker pool
       // would let a prefetch future queue behind the very task waiting on
-      // it. A single-task run has no worker pool, so it keeps the plan's.
-      if (frag.io.prefetch_pool != nullptr && !state->single_task) {
-        frag.io.prefetch_pool = io_pool_;
+      // it. A single-task run has no driver, so it keeps the plan's.
+      if (frag.io.prefetch_pool != nullptr && !state->single_task()) {
+        frag.io.prefetch_pool = state->driver->io_pool_;
       }
       if (profile != nullptr && frag.files_pruned > 0) {
         // Pruning happens once at plan time, not in any task.
@@ -369,7 +374,7 @@ Result<Driver::StagedFragment> Driver::PrepareFragment(
       break;
     }
   }
-  if (state->single_task) frag.units_per_morsel = std::max(1, frag.units);
+  if (state->single_task()) frag.units_per_morsel = std::max(1, frag.units);
   return frag;
 }
 
@@ -440,7 +445,8 @@ Result<std::vector<std::unique_ptr<Table>>> Driver::RunMorselStage(
   std::vector<Morsel> morsels =
       SplitMorsels(frag.units, frag.units_per_morsel);
   const int num_morsels = static_cast<int>(morsels.size());
-  const int num_tasks = std::min(num_threads(), num_morsels);
+  const Driver* driver = state->driver;
+  const int workers = driver != nullptr ? driver->num_threads() : 1;
   const int stage_id = info->stage_id;
   obs::ProfileBuilder* profile = state->profile;
   obs::MetricSet* stage_set =
@@ -460,99 +466,81 @@ Result<std::vector<std::unique_ptr<Table>>> Driver::RunMorselStage(
   }
   int64_t t0 = NowNs();
 
-  MorselQueue queue(num_morsels);
   std::vector<std::unique_ptr<Table>> slots(num_morsels);
 
-  // One metric shard per (node, worker): the shard is only ever touched
-  // by this thread, so the hot path is uncontended relaxed atomics and
-  // the merge happens here, after the morsel is drained — the
-  // sharded-then-merged-at-barriers design of §5.2.
-  //
-  // `max_claims` bounds how many morsels one invocation drains: the
-  // standalone driver launches num_tasks unbounded claim loops (each
-  // worker thread drains greedily), while service mode submits one
-  // single-claim task per morsel to the fair scheduler — yielding the
-  // worker between morsels is exactly what lets a peer query's task run.
-  auto worker = [&, stage_id](int max_claims) -> Status {
+  // One task per morsel, with one metric shard per (node, task): the shard
+  // is only ever touched by this task, so the hot path is uncontended
+  // relaxed atomics and the merge happens here, after the morsel is
+  // drained — the sharded-then-merged-at-barriers design of §5.2.
+  auto task = [&, stage_id](int m) -> Status {
+    // Task starts are cancellation points: a cancelled or
+    // deadline-expired query's queued tasks bail here, which is what makes
+    // cancellation prompt at 8 threads.
+    PHOTON_RETURN_NOT_OK(CheckAlive(state->ctx));
     const int64_t task_id = profile != nullptr ? profile->NewTaskId() : 0;
-    for (int claimed = 0; claimed < max_claims; claimed++) {
-      // Morsel claims are cancellation points: a cancelled or
-      // deadline-expired query stops claiming work here, and the claim
-      // its peers skip is what makes cancellation prompt at 8 threads.
-      PHOTON_RETURN_NOT_OK(CheckAlive(state->ctx));
-      int m = queue.Next();
-      if (m < 0) break;
-      obs::TraceSpan morsel_span("morsel", m);
-      int64_t cpu0 = profile != nullptr ? obs::ThreadCpuNs() : 0;
-      ExecContext task_ctx = state->ctx;
-      task_ctx.task_group = NextTaskGroup();
-      // Unique per-task spill namespace: concurrent tasks must never
-      // collide on object-store spill keys.
-      task_ctx.spill_prefix = state->ctx.spill_prefix + "/s" +
-                              std::to_string(stage_id) + "-m" +
-                              std::to_string(m);
-      Harvest harvest;
-      PHOTON_ASSIGN_OR_RETURN(
-          OperatorPtr op,
-          InstantiateFragment(frag, morsels[m], task_ctx,
-                              profile != nullptr ? &harvest : nullptr));
-      Operator* chain_top = op.get();
-      PHOTON_ASSIGN_OR_RETURN(op, wrap(std::move(op), task_ctx));
-      if (profile != nullptr && op.get() != chain_top) {
-        harvest.emplace_back(op.get(), wrap_node_id);
-      }
-      Result<Table> out = CollectAll(op.get(), state->ctx.control);
-      if (profile != nullptr) {
-        for (const auto& [hop, nid] : harvest) {
-          hop->PublishMetrics();
-          if (nid >= 0) {
-            profile->TaskShard(nid, task_id)->MergeFrom(hop->op_metrics());
-          }
-          stage_set->MergeResourceFrom(hop->op_metrics());
-        }
-        stage_set->Add(obs::Metric::kCpuNs, obs::ThreadCpuNs() - cpu0);
-        if (out.ok()) {
-          stage_set->Add(obs::Metric::kRowsOut, out->num_rows());
-          stage_set->Add(obs::Metric::kBatches, out->num_batches());
-        }
-      }
-      PHOTON_RETURN_NOT_OK(out.status());
-      slots[m] = std::make_unique<Table>(std::move(*out));
+    obs::TraceSpan morsel_span("morsel", m);
+    int64_t cpu0 = profile != nullptr ? obs::ThreadCpuNs() : 0;
+    ExecContext task_ctx = state->ctx;
+    task_ctx.task_group = NextTaskGroup();
+    // Unique per-task spill namespace: concurrent tasks must never
+    // collide on object-store spill keys.
+    task_ctx.spill_prefix = state->ctx.spill_prefix + "/s" +
+                            std::to_string(stage_id) + "-m" +
+                            std::to_string(m);
+    Harvest harvest;
+    PHOTON_ASSIGN_OR_RETURN(
+        OperatorPtr op,
+        InstantiateFragment(frag, morsels[m], task_ctx,
+                            profile != nullptr ? &harvest : nullptr));
+    Operator* chain_top = op.get();
+    PHOTON_ASSIGN_OR_RETURN(op, wrap(std::move(op), task_ctx));
+    if (profile != nullptr && op.get() != chain_top) {
+      harvest.emplace_back(op.get(), wrap_node_id);
     }
+    Result<Table> out = CollectAll(op.get(), state->ctx.control);
+    if (profile != nullptr) {
+      for (const auto& [hop, nid] : harvest) {
+        hop->PublishMetrics();
+        if (nid >= 0) {
+          profile->TaskShard(nid, task_id)->MergeFrom(hop->op_metrics());
+        }
+        stage_set->MergeResourceFrom(hop->op_metrics());
+      }
+      stage_set->Add(obs::Metric::kCpuNs, obs::ThreadCpuNs() - cpu0);
+      if (out.ok()) {
+        stage_set->Add(obs::Metric::kRowsOut, out->num_rows());
+        stage_set->Add(obs::Metric::kBatches, out->num_batches());
+      }
+    }
+    PHOTON_RETURN_NOT_OK(out.status());
+    slots[m] = std::make_unique<Table>(std::move(*out));
     return Status::OK();
   };
 
   Status status = Status::OK();
-  if (num_morsels == 1 || (scheduler_ == nullptr && num_tasks <= 1)) {
-    // One morsel (or a single-worker standalone driver): run inline on
-    // the calling thread. In service mode this keeps point queries off
-    // the shared queues entirely — their single morsel runs on the
-    // session's own control thread at zero scheduling latency — but a
-    // multi-morsel stage always goes through the scheduler, whatever its
-    // size, so the worker cap and round-robin fairness hold.
-    status = worker(num_morsels);
+  if (num_morsels == 1 ||
+      (driver->owned_scheduler_ != nullptr && workers == 1)) {
+    // One morsel (always, for RunSingleTask) or a single-worker standalone
+    // driver: run the tasks inline on the calling thread. In service mode
+    // this keeps point queries off the shared queues entirely — their
+    // single morsel runs on the session's own control thread at zero
+    // scheduling latency — but a multi-morsel stage always goes through
+    // the shared scheduler, whatever its size, so the worker cap and
+    // round-robin fairness hold.
+    for (int m = 0; m < num_morsels && status.ok(); m++) status = task(m);
   } else {
+    // The scheduler drains query queues round-robin, so between any two
+    // of our morsels every peer query (in service mode) gets a turn.
     std::vector<std::future<Status>> futures;
-    if (scheduler_ != nullptr) {
-      // Service mode: one single-claim task per morsel on this query's
-      // queue. The scheduler drains queues round-robin, so between any
-      // two of our morsels every peer query gets a turn.
-      futures.reserve(num_morsels);
-      for (int t = 0; t < num_morsels; t++) {
-        futures.push_back(SubmitTask([&worker] { return worker(1); }));
-      }
-    } else {
-      futures.reserve(num_tasks);
-      for (int t = 0; t < num_tasks; t++) {
-        futures.push_back(SubmitTask([&worker, num_morsels] {
-          return worker(num_morsels);
-        }));
-      }
+    futures.reserve(num_morsels);
+    for (int m = 0; m < num_morsels; m++) {
+      futures.push_back(driver->scheduler_->Submit(
+          driver->query_slot_, [&task, m] { return task(m); }));
     }
     // Join every task before surfacing the first error — peers share the
-    // queue and the output slots. (Also a breaker-barrier cancellation
-    // point: the post-join CheckAlive below turns "every task bailed at
-    // its claim" into a crisp kCancelled for the whole stage.)
+    // output slots. (Also a breaker-barrier cancellation point: the
+    // post-join CheckAlive below turns "every task bailed at its start"
+    // into a crisp kCancelled for the whole stage.)
     obs::TraceSpan barrier("stage_barrier", stage_id);
     for (auto& f : futures) {
       Status s = f.get();
@@ -562,7 +550,7 @@ Result<std::vector<std::unique_ptr<Table>>> Driver::RunMorselStage(
   if (status.ok()) status = CheckAlive(state->ctx);
   PHOTON_RETURN_NOT_OK(status);
 
-  info->num_tasks = num_tasks;
+  info->num_tasks = std::min(workers, num_morsels);
   int64_t wall = NowNs() - t0;
   if (profile != nullptr) {
     stage_set->Add(obs::Metric::kWallNs, wall);

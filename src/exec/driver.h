@@ -2,7 +2,6 @@
 #define PHOTON_EXEC_DRIVER_H_
 
 #include <algorithm>
-#include <atomic>
 #include <functional>
 #include <memory>
 #include <string>
@@ -26,6 +25,8 @@ namespace exec {
 /// view for its one-morsel stages.
 struct StageInfo {
   int stage_id = 0;
+  /// Workers the stage's morsel tasks could occupy: min(worker threads,
+  /// morsels), so 1 for every RunSingleTask stage.
   int num_tasks = 0;
   /// Merged stage metrics (the full obs vocabulary).
   obs::MetricSnapshot m;
@@ -49,30 +50,32 @@ struct StageInfo {
 };
 
 /// A miniature DBR driver (§2.2): breaks a job into stages at exchange
-/// boundaries, launches tasks on the executor thread pool, and blocks at
-/// stage boundaries (stage N+1 starts after stage N finishes, which is
-/// what enables fault tolerance and adaptive execution at stage
-/// boundaries in the real system).
+/// boundaries, launches one task per morsel on the executor's task
+/// scheduler, and blocks at stage boundaries (stage N+1 starts after stage
+/// N finishes, which is what enables fault tolerance and adaptive
+/// execution at stage boundaries in the real system).
 class Driver {
  public:
-  /// Standalone driver owning its pools. Pool sizes are explicit per
-  /// pool: `num_threads` workers execute morsel tasks; `io_threads` run
-  /// scan read-aheads. `io_threads < 0` (the documented default) sizes
-  /// the IO pool to max(2, num_threads) — enough to double-buffer every
-  /// worker without assuming anything about hardware concurrency.
+  /// Standalone driver owning its pools: a private TaskScheduler with
+  /// `num_threads` workers (one registered query slot) for morsel tasks,
+  /// and `io_threads` for scan read-aheads. `io_threads < 0` (the
+  /// documented default) sizes the IO pool to max(2, num_threads) —
+  /// enough to double-buffer every worker without assuming anything about
+  /// hardware concurrency.
   explicit Driver(int num_threads = 4, int io_threads = -1)
-      : owned_pool_(std::make_unique<ThreadPool>(num_threads)),
+      : owned_scheduler_(
+            std::make_unique<TaskScheduler>(std::max(1, num_threads))),
         owned_io_pool_(std::make_unique<ThreadPool>(
             io_threads >= 0 ? io_threads : std::max(2, num_threads))),
-        pool_(owned_pool_.get()),
+        scheduler_(owned_scheduler_.get()),
+        query_slot_(scheduler_->RegisterQuery()),
         io_pool_(owned_io_pool_.get()) {}
 
   /// Service-mode driver: no pools of its own. Morsel tasks go to
   /// `scheduler`'s shared worker pool on the per-query queue
   /// `query_slot` (see TaskScheduler — queues are drained round-robin
   /// across queries, so this driver's stages cannot starve a peer's).
-  /// Read-aheads go to the shared `io_pool`. One task is submitted per
-  /// morsel, so fairness is morsel-granular; stage barriers block the
+  /// Read-aheads go to the shared `io_pool`. Stage barriers block the
   /// calling (per-session control) thread, never a scheduler worker.
   Driver(TaskScheduler* scheduler, int64_t query_slot, ThreadPool* io_pool)
       : scheduler_(scheduler), query_slot_(query_slot), io_pool_(io_pool) {}
@@ -80,8 +83,8 @@ class Driver {
   /// Runs an arbitrary logical plan multi-threaded. The plan is cut into
   /// stages at pipeline breakers (stage_planner.h); each stage's input is
   /// split into morsels — fixed-size table batch ranges, or file ranges
-  /// for lakehouse scans — which worker tasks claim from a shared atomic
-  /// queue. Pipeline breakers execute parallelism-aware:
+  /// for lakehouse scans — and each morsel is one task on the scheduler.
+  /// Pipeline breakers execute parallelism-aware:
   ///   - aggregates run one partial aggregate per morsel and a final
   ///     merge stage over the serialized states (exact for every kind);
   ///   - joins build their hash table once and probe it from all tasks;
@@ -105,21 +108,19 @@ class Driver {
   /// its whole input, drained inline on the calling thread, and a join
   /// hashes its build side inside that task as the build streams instead
   /// of materializing it first. So there is no partial/final aggregate
-  /// split and no sorted-run merge, and the driver's pools are never
-  /// used. `stages` and `profile` as for Run.
-  Result<Table> RunSingleTask(const plan::PlanPtr& plan, ExecContext ctx = {},
-                              std::vector<StageInfo>* stages = nullptr,
-                              obs::QueryProfile* profile = nullptr);
+  /// split and no sorted-run merge, and no pool is used — hence static:
+  /// callers need no Driver (and start no threads) to run a plan this way.
+  /// `stages` and `profile` as for Run.
+  static Result<Table> RunSingleTask(const plan::PlanPtr& plan,
+                                     ExecContext ctx = {},
+                                     std::vector<StageInfo>* stages = nullptr,
+                                     obs::QueryProfile* profile = nullptr);
 
-  /// Worker parallelism: the owned pool's size, or the shared
-  /// scheduler's in service mode.
-  int num_threads() const {
-    return scheduler_ != nullptr ? scheduler_->num_threads()
-                                 : pool_->num_threads();
-  }
+  /// Worker parallelism: the scheduler's worker count (private or shared).
+  int num_threads() const { return scheduler_->num_threads(); }
 
  private:
-  struct RunState;        // per-Run bookkeeping (ctx, stage list, profile)
+  struct RunState;        // per-run bookkeeping (ctx, stage list, profile)
   struct StagedFragment;  // compiled fragment + its materialized inputs
 
   /// Operator tree to drain for one morsel: the fragment chain, optionally
@@ -130,45 +131,37 @@ class Driver {
   /// morsel chain is drained.
   using Harvest = std::vector<std::pair<Operator*, int>>;
 
-  /// The one execution path behind Run and RunSingleTask.
-  Result<Table> Execute(const plan::PlanPtr& plan, ExecContext ctx,
-                        std::vector<StageInfo>* stages,
-                        obs::QueryProfile* profile, bool single_task);
-  Result<Table> RunNode(const plan::PlanPtr& node, RunState* state,
-                        int parent_node);
-  Result<Table> RunFragment(const plan::PlanPtr& node, RunState* state,
-                            int parent_node);
-  Result<Table> RunAggregate(const plan::PlanPtr& node, RunState* state,
-                             int parent_node);
-  Result<Table> RunSort(const plan::PlanPtr& node, RunState* state,
-                        int parent_node);
-  Result<StagedFragment> PrepareFragment(const plan::PlanPtr& root,
-                                         RunState* state);
-  Result<OperatorPtr> InstantiateFragment(const StagedFragment& frag,
-                                          Morsel morsel,
-                                          const ExecContext& task_ctx,
-                                          Harvest* harvest);
-  Result<std::vector<std::unique_ptr<Table>>> RunMorselStage(
+  /// The one execution path behind Run (`driver` = this) and
+  /// RunSingleTask (`driver` null).
+  static Result<Table> Execute(const plan::PlanPtr& plan, ExecContext ctx,
+                               std::vector<StageInfo>* stages,
+                               obs::QueryProfile* profile,
+                               const Driver* driver);
+  static Result<Table> RunNode(const plan::PlanPtr& node, RunState* state,
+                               int parent_node);
+  static Result<Table> RunFragment(const plan::PlanPtr& node,
+                                   RunState* state, int parent_node);
+  static Result<Table> RunAggregate(const plan::PlanPtr& node,
+                                    RunState* state, int parent_node);
+  static Result<Table> RunSort(const plan::PlanPtr& node, RunState* state,
+                               int parent_node);
+  static Result<StagedFragment> PrepareFragment(const plan::PlanPtr& root,
+                                                RunState* state);
+  static Result<OperatorPtr> InstantiateFragment(const StagedFragment& frag,
+                                                 Morsel morsel,
+                                                 const ExecContext& task_ctx,
+                                                 Harvest* harvest);
+  static Result<std::vector<std::unique_ptr<Table>>> RunMorselStage(
       const StagedFragment& frag, RunState* state, const WrapFn& wrap,
       int wrap_node_id, StageInfo* info);
 
-  /// Submits a worker task: to the shared scheduler's per-query queue in
-  /// service mode, else to the owned pool.
-  template <typename Fn>
-  auto SubmitTask(Fn&& fn) -> std::future<decltype(fn())> {
-    if (scheduler_ != nullptr) {
-      return scheduler_->Submit(query_slot_, std::forward<Fn>(fn));
-    }
-    return pool_->Submit(std::forward<Fn>(fn));
-  }
-
-  std::unique_ptr<ThreadPool> owned_pool_;
+  /// Set by the standalone constructor only.
+  std::unique_ptr<TaskScheduler> owned_scheduler_;
   std::unique_ptr<ThreadPool> owned_io_pool_;
-  /// Shared fair scheduler + this query's queue slot (service mode only).
+  /// Where morsel tasks run, on this driver's queue `query_slot_`: the
+  /// private scheduler, or the service's shared one.
   TaskScheduler* scheduler_ = nullptr;
   int64_t query_slot_ = 0;
-  /// Worker pool; null in service mode (scheduler_ used instead).
-  ThreadPool* pool_ = nullptr;
   /// Dedicated pool for scan read-aheads. Prefetch futures must never
   /// queue behind the worker tasks that block on them — with a saturated
   /// shared pool that is a deadlock. Shared across sessions in service

@@ -2,7 +2,6 @@
 #define PHOTON_EXEC_MORSEL_H_
 
 #include <algorithm>
-#include <atomic>
 #include <vector>
 
 namespace photon {
@@ -33,25 +32,6 @@ inline std::vector<Morsel> SplitMorsels(int total, int per_morsel) {
   }
   return morsels;
 }
-
-/// Shared work queue for one stage: workers claim the next morsel index
-/// with a single atomic increment (no locks, no static partitioning), so
-/// a task finishing a cheap morsel immediately steals the next one —
-/// dynamic load balancing across skewed morsels.
-class MorselQueue {
- public:
-  explicit MorselQueue(int num_morsels) : num_(num_morsels) {}
-
-  /// Claims the next morsel index, or -1 when the queue is drained.
-  int Next() {
-    int i = next_.fetch_add(1, std::memory_order_relaxed);
-    return i < num_ ? i : -1;
-  }
-
- private:
-  std::atomic<int> next_{0};
-  int num_;
-};
 
 }  // namespace exec
 }  // namespace photon

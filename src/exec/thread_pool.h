@@ -11,9 +11,9 @@
 
 namespace photon {
 
-/// Fixed-size worker pool modeling the executor's task threads (§2.2: each
-/// executor runs a task scheduler and a thread pool executing independent
-/// tasks submitted by the driver).
+/// Fixed-size FIFO pool for leaf IO work: scan read-aheads (§2.2's
+/// executor thread pool). Morsel tasks run on exec::TaskScheduler instead,
+/// so a prefetch never queues behind the worker task waiting on it.
 class ThreadPool {
  public:
   explicit ThreadPool(int num_threads) {

@@ -18,14 +18,9 @@ int64_t NowNs() {
 
 }  // namespace
 
-Prefetcher::Prefetcher(CachingStore* store, ThreadPool* pool)
-    : Prefetcher(store, pool, Options()) {}
-
-Prefetcher::Prefetcher(CachingStore* store, ThreadPool* pool, Options options)
-    : store_(store), pool_(pool), options_(options) {
-  PHOTON_CHECK(store_ != nullptr);
-  PHOTON_CHECK(pool_ != nullptr);
-  PHOTON_CHECK(options_.depth > 0);
+Prefetcher::Prefetcher(CachingStore* store) : store_(store) {
+  PHOTON_CHECK(store_->options().prefetch_pool != nullptr);
+  PHOTON_CHECK(store_->options().prefetch_depth > 0);
 }
 
 Prefetcher::~Prefetcher() { Cancel(); }
@@ -33,15 +28,16 @@ Prefetcher::~Prefetcher() { Cancel(); }
 void Prefetcher::ScheduleAhead(const std::vector<std::string>& keys,
                                size_t cursor) {
   if (cancelled_.load(std::memory_order_acquire)) return;
+  const IoOptions& io = store_->options();
   std::lock_guard<std::mutex> lock(mu_);
   for (size_t i = cursor;
        i < keys.size() &&
-       inflight_.size() < static_cast<size_t>(options_.depth);
+       inflight_.size() < static_cast<size_t>(io.prefetch_depth);
        i++) {
     const std::string& key = keys[i];
     if (inflight_.count(key) > 0) continue;
     issued_.fetch_add(1, std::memory_order_relaxed);
-    inflight_[key] = pool_->Submit([this, key] {
+    inflight_[key] = io.prefetch_pool->Submit([this, key] {
       if (cancelled_.load(std::memory_order_acquire)) {
         skipped_.fetch_add(1, std::memory_order_relaxed);
         return;

@@ -19,10 +19,11 @@ namespace io {
 
 /// Async read-ahead scheduler: overlaps object-store IO with compute the
 /// way Photon's scans overlap NVMe/S3 reads with decoding (§2). While the
-/// scan decodes object k, the prefetcher keeps up to `depth` of the next
-/// objects in flight on the executor thread pool (depth 2 = classic
-/// double buffering); their bytes land in the shared BlockCache via the
-/// CachingStore, so Fetch() of a prefetched key is a cache hit.
+/// scan decodes object k, the prefetcher keeps up to the store's
+/// `IoOptions::prefetch_depth` of the next objects in flight on its
+/// `IoOptions::prefetch_pool` (depth 2 = classic double buffering); their
+/// bytes land in the shared BlockCache via the CachingStore, so Fetch() of
+/// a prefetched key is a cache hit.
 ///
 /// Cancellation: Cancel() (also run from the destructor and the scan
 /// operator's Close) prevents queued tasks from issuing new reads and
@@ -32,10 +33,6 @@ namespace io {
 /// Thread-safe; one instance per scan, sharing a pool/cache with others.
 class Prefetcher {
  public:
-  struct Options {
-    int depth = 2;
-  };
-
   struct Stats {
     int64_t issued = 0;        // read-ahead tasks submitted
     int64_t skipped = 0;       // tasks that saw cancellation and bailed
@@ -43,8 +40,8 @@ class Prefetcher {
     int64_t wait_ns = 0;       // total time Fetch() spent blocked
   };
 
-  Prefetcher(CachingStore* store, ThreadPool* pool);
-  Prefetcher(CachingStore* store, ThreadPool* pool, Options options);
+  /// `store->options()` must name a prefetch pool and a positive depth.
+  explicit Prefetcher(CachingStore* store);
   ~Prefetcher();
 
   Prefetcher(const Prefetcher&) = delete;
@@ -67,8 +64,6 @@ class Prefetcher {
 
  private:
   CachingStore* store_;
-  ThreadPool* pool_;
-  Options options_;
 
   std::atomic<bool> cancelled_{false};
   std::mutex mu_;

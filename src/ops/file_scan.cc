@@ -22,10 +22,7 @@ FileScanOperator::FileScanOperator(ObjectStore* store,
       predicate_(std::move(predicate)),
       io_(std::make_unique<io::CachingStore>(store, io)) {
   if (io.prefetch_pool != nullptr) {
-    io::Prefetcher::Options popts;
-    popts.depth = io.prefetch_depth;
-    prefetcher_ = std::make_unique<io::Prefetcher>(io_.get(),
-                                                   io.prefetch_pool, popts);
+    prefetcher_ = std::make_unique<io::Prefetcher>(io_.get());
   }
 }
 

@@ -1,23 +1,49 @@
 #include "plan/converter.h"
 
-#include "baseline/row_agg.h"
-#include "baseline/row_join.h"
-#include "baseline/row_ops.h"
-#include "baseline/row_sort.h"
-#include "ops/file_scan.h"
-#include "ops/filter.h"
-#include "ops/limit.h"
-#include "ops/project.h"
-#include "ops/scan.h"
+#include "exec/driver.h"
+#include "plan/transition.h"
 
 namespace photon {
 namespace plan {
 namespace {
 
+/// One maximal Photon subtree, seen from the legacy engine: on Open it
+/// runs the subtree as one Photon task (the driver's fusion, expression
+/// tiers and optimizer policy included), then streams the result batches
+/// to the transition above it.
+class PhotonIsland : public Operator {
+ public:
+  PhotonIsland(PlanPtr subtree, ExecContext ctx)
+      : Operator(subtree->output_schema),
+        subtree_(std::move(subtree)),
+        ctx_(ctx) {}
+
+  Status Open() override {
+    PHOTON_ASSIGN_OR_RETURN(result_,
+                            exec::Driver::RunSingleTask(subtree_, ctx_));
+    next_batch_ = 0;
+    return Status::OK();
+  }
+
+  Result<ColumnBatch*> GetNextImpl() override {
+    if (next_batch_ >= result_.num_batches()) return nullptr;
+    return result_.mutable_batch(next_batch_++);
+  }
+
+  std::string name() const override { return "PhotonIsland"; }
+
+ private:
+  PlanPtr subtree_;
+  ExecContext ctx_;
+  Table result_{Schema()};
+  int next_batch_ = 0;
+};
+
+/// A converted subtree: either still Photon (the plan itself, not yet
+/// built) or an already-built legacy row operator.
 struct Piece {
-  OperatorPtr photon;              // set when is_photon
-  baseline::RowOperatorPtr legacy;  // set otherwise
-  bool is_photon = false;
+  PlanPtr photon;
+  baseline::RowOperatorPtr legacy;
 };
 
 class Converter {
@@ -30,125 +56,44 @@ class Converter {
         result_(result) {}
 
   Result<Piece> Convert(const PlanPtr& node) {
+    PHOTON_RETURN_NOT_OK(CheckNodeExprDepths(*node));
     std::vector<Piece> children;
+    bool children_photon = true;
     for (const PlanPtr& child : node->children) {
       PHOTON_ASSIGN_OR_RETURN(Piece piece, Convert(child));
+      children_photon &= piece.photon != nullptr;
       children.push_back(std::move(piece));
     }
-    bool children_photon = true;
-    for (const Piece& c : children) children_photon &= c.is_photon;
 
     if (supported_(*node) && children_photon) {
-      PHOTON_ASSIGN_OR_RETURN(OperatorPtr op,
-                              MakePhotonNode(*node, &children));
       result_->photon_nodes++;
-      Piece out;
-      out.photon = std::move(op);
-      out.is_photon = true;
-      return out;
+      if (node->kind == PlanKind::kScan || node->kind == PlanKind::kDeltaScan) {
+        result_->adapters++;
+      }
+      return Piece{node, nullptr};
     }
 
     // Legacy node: photon children fall back through transitions.
     std::vector<baseline::RowOperatorPtr> legacy_children;
     for (Piece& c : children) {
-      if (c.is_photon) {
-        legacy_children.push_back(baseline::RowOperatorPtr(
-            new TransitionOperator(std::move(c.photon))));
-        result_->transitions++;
-      } else {
-        legacy_children.push_back(std::move(c.legacy));
-      }
+      legacy_children.push_back(c.photon != nullptr ? Transition(c.photon)
+                                                    : std::move(c.legacy));
     }
     PHOTON_ASSIGN_OR_RETURN(
         baseline::RowOperatorPtr op,
-        MakeLegacyNode(*node, std::move(legacy_children)));
+        CompileBaselineNode(*node, std::move(legacy_children), legacy_join_));
     result_->legacy_nodes++;
-    Piece out;
-    out.legacy = std::move(op);
-    out.is_photon = false;
-    return out;
+    return Piece{nullptr, std::move(op)};
+  }
+
+  /// The columnar -> row pivot above a Photon subtree.
+  baseline::RowOperatorPtr Transition(PlanPtr subtree) {
+    result_->transitions++;
+    return baseline::RowOperatorPtr(new TransitionOperator(
+        OperatorPtr(new PhotonIsland(std::move(subtree), ctx_))));
   }
 
  private:
-  Result<OperatorPtr> MakePhotonNode(const PlanNode& node,
-                                     std::vector<Piece>* children) {
-    auto child = [&](int i) { return std::move((*children)[i].photon); };
-    switch (node.kind) {
-      case PlanKind::kScan: {
-        // Adapter between the columnar scan and Photon (§5.2).
-        result_->adapters++;
-        return OperatorPtr(new AdapterOperator(
-            OperatorPtr(new InMemoryScanOperator(node.table))));
-      }
-      case PlanKind::kDeltaScan: {
-        result_->adapters++;
-        return OperatorPtr(new AdapterOperator(OperatorPtr(
-            new DeltaScanOperator(node.store, node.snapshot,
-                                  node.scan_columns, node.scan_predicate,
-                                  node.scan_io))));
-      }
-      case PlanKind::kFilter:
-        return OperatorPtr(new FilterOperator(child(0), node.predicate));
-      case PlanKind::kProject:
-        return OperatorPtr(
-            new ProjectOperator(child(0), node.exprs, node.names));
-      case PlanKind::kAggregate:
-        return OperatorPtr(new HashAggregateOperator(
-            child(0), node.group_keys, node.key_names, node.aggregates,
-            ctx_));
-      case PlanKind::kJoin:
-        return OperatorPtr(new HashJoinOperator(
-            child(1), child(0), node.right_keys, node.left_keys,
-            node.join_type, ctx_, node.residual));
-      case PlanKind::kSort:
-        return OperatorPtr(new SortOperator(child(0), node.sort_keys, ctx_));
-      case PlanKind::kLimit:
-        return OperatorPtr(new LimitOperator(child(0), node.limit));
-    }
-    return Status::Internal("bad plan kind");
-  }
-
-  Result<baseline::RowOperatorPtr> MakeLegacyNode(
-      const PlanNode& node,
-      std::vector<baseline::RowOperatorPtr> children) {
-    using baseline::RowOperatorPtr;
-    switch (node.kind) {
-      case PlanKind::kScan:
-        return RowOperatorPtr(new baseline::RowScanOperator(node.table));
-      case PlanKind::kDeltaScan:
-        return RowOperatorPtr(new TransitionOperator(OperatorPtr(
-            new DeltaScanOperator(node.store, node.snapshot,
-                                  node.scan_columns, node.scan_predicate,
-                                  node.scan_io))));
-      case PlanKind::kFilter:
-        return RowOperatorPtr(new baseline::RowFilterOperator(
-            std::move(children[0]), node.predicate));
-      case PlanKind::kProject:
-        return RowOperatorPtr(new baseline::RowProjectOperator(
-            std::move(children[0]), node.exprs, node.names));
-      case PlanKind::kAggregate:
-        return RowOperatorPtr(new baseline::RowHashAggregateOperator(
-            std::move(children[0]), node.group_keys, node.key_names,
-            node.aggregates));
-      case PlanKind::kJoin:
-        if (legacy_join_ == BaselineJoinImpl::kSortMerge) {
-          return RowOperatorPtr(new baseline::RowSortMergeJoinOperator(
-              std::move(children[0]), std::move(children[1]), node.left_keys,
-              node.right_keys, node.join_type, node.residual));
-        }
-        return RowOperatorPtr(new baseline::RowShuffledHashJoinOperator(
-            std::move(children[0]), std::move(children[1]), node.left_keys,
-            node.right_keys, node.join_type, node.residual));
-      case PlanKind::kSort:
-        return RowOperatorPtr(new baseline::RowSortOperator(
-            std::move(children[0]), node.sort_keys));
-      case PlanKind::kLimit:
-        return RowOperatorPtr(new baseline::RowLimitOperator(
-            std::move(children[0]), node.limit));
-    }
-    return Status::Internal("bad plan kind");
-  }
-
   ExecContext ctx_;
   const SupportFn& supported_;
   BaselineJoinImpl legacy_join_;
@@ -163,15 +108,10 @@ Result<ConversionResult> ConvertPlan(const PlanPtr& plan, ExecContext ctx,
   ConversionResult result;
   Converter converter(ctx, supported, legacy_join, &result);
   PHOTON_ASSIGN_OR_RETURN(Piece root, converter.Convert(plan));
-  if (root.is_photon) {
-    // Whole plan ran in Photon: a single transition hands rows to the
-    // consumer, like Spark's final column-to-row pivot.
-    result.transitions++;
-    result.root = baseline::RowOperatorPtr(
-        new TransitionOperator(std::move(root.photon)));
-  } else {
-    result.root = std::move(root.legacy);
-  }
+  // A whole-Photon plan gets a single transition that hands rows to the
+  // consumer, like Spark's final column-to-row pivot.
+  result.root = root.photon != nullptr ? converter.Transition(root.photon)
+                                       : std::move(root.legacy);
   return result;
 }
 

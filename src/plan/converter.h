@@ -4,7 +4,6 @@
 #include <functional>
 
 #include "plan/logical_plan.h"
-#include "plan/transition.h"
 
 namespace photon {
 namespace plan {
@@ -26,13 +25,18 @@ struct ConversionResult {
 };
 
 /// The §5.1 conversion rule: walk the plan bottom-up starting at the
-/// scans, mapping each supported node to a Photon operator. At the first
+/// scans, deciding which nodes execute in Photon. At the first
 /// unsupported node, insert a transition (columnar -> row pivot) and run
 /// that node — and everything above it — in the legacy engine. Nodes are
 /// never converted starting mid-plan (that could multiply pivots; §5.2
-/// explains why DBR is conservative here). Each Photon scan leaf gets an
-/// adapter node that forwards columnar pointers across the simulated
-/// JNI boundary.
+/// explains why DBR is conservative here).
+///
+/// The converter builds no operators of its own: each maximal Photon
+/// subtree runs as one task through exec::Driver::RunSingleTask when the
+/// transition above it opens, and legacy nodes come from
+/// CompileBaselineNode. `adapters` counts the Photon scan leaves — where
+/// §5.2's adapter hands columnar scan data to Photon. Every node's
+/// expressions are depth-checked at conversion time.
 Result<ConversionResult> ConvertPlan(
     const PlanPtr& plan, ExecContext ctx = {},
     const SupportFn& supported = [](const PlanNode&) { return true; },

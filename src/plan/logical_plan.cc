@@ -268,70 +268,62 @@ AggPreProject PlanAggPreProject(const PlanNode& agg) {
   return out;
 }
 
-Result<baseline::RowOperatorPtr> CompileBaseline(
-    const PlanPtr& plan, BaselineJoinImpl join_impl) {
+Result<baseline::RowOperatorPtr> CompileBaselineNode(
+    const PlanNode& node, std::vector<baseline::RowOperatorPtr> children,
+    BaselineJoinImpl join_impl) {
   using baseline::RowOperatorPtr;
-  PHOTON_RETURN_NOT_OK(CheckNodeExprDepths(*plan));
-  switch (plan->kind) {
+  switch (node.kind) {
     case PlanKind::kScan:
-      return RowOperatorPtr(new baseline::RowScanOperator(plan->table));
+      return RowOperatorPtr(new baseline::RowScanOperator(node.table));
     case PlanKind::kDeltaScan: {
       // Spark's scan also produces columnar data and pivots to rows (§5.2):
       // the baseline reads through the columnar scan wrapped in a
       // transition node.
-      OperatorPtr scan(new DeltaScanOperator(plan->store, plan->snapshot,
-                                             plan->scan_columns,
-                                             plan->scan_predicate,
-                                             plan->scan_io));
+      OperatorPtr scan(new DeltaScanOperator(node.store, node.snapshot,
+                                             node.scan_columns,
+                                             node.scan_predicate,
+                                             node.scan_io));
       return RowOperatorPtr(new TransitionOperator(std::move(scan)));
     }
-    case PlanKind::kFilter: {
-      PHOTON_ASSIGN_OR_RETURN(RowOperatorPtr child,
-                              CompileBaseline(plan->children[0], join_impl));
-      return RowOperatorPtr(
-          new baseline::RowFilterOperator(std::move(child), plan->predicate));
-    }
-    case PlanKind::kProject: {
-      PHOTON_ASSIGN_OR_RETURN(RowOperatorPtr child,
-                              CompileBaseline(plan->children[0], join_impl));
+    case PlanKind::kFilter:
+      return RowOperatorPtr(new baseline::RowFilterOperator(
+          std::move(children[0]), node.predicate));
+    case PlanKind::kProject:
       return RowOperatorPtr(new baseline::RowProjectOperator(
-          std::move(child), plan->exprs, plan->names));
-    }
-    case PlanKind::kAggregate: {
-      PHOTON_ASSIGN_OR_RETURN(RowOperatorPtr child,
-                              CompileBaseline(plan->children[0], join_impl));
+          std::move(children[0]), node.exprs, node.names));
+    case PlanKind::kAggregate:
       return RowOperatorPtr(new baseline::RowHashAggregateOperator(
-          std::move(child), plan->group_keys, plan->key_names,
-          plan->aggregates));
-    }
-    case PlanKind::kJoin: {
-      PHOTON_ASSIGN_OR_RETURN(RowOperatorPtr left,
-                              CompileBaseline(plan->children[0], join_impl));
-      PHOTON_ASSIGN_OR_RETURN(RowOperatorPtr right,
-                              CompileBaseline(plan->children[1], join_impl));
+          std::move(children[0]), node.group_keys, node.key_names,
+          node.aggregates));
+    case PlanKind::kJoin:
       if (join_impl == BaselineJoinImpl::kSortMerge) {
         return RowOperatorPtr(new baseline::RowSortMergeJoinOperator(
-            std::move(left), std::move(right), plan->left_keys,
-            plan->right_keys, plan->join_type, plan->residual));
+            std::move(children[0]), std::move(children[1]), node.left_keys,
+            node.right_keys, node.join_type, node.residual));
       }
       return RowOperatorPtr(new baseline::RowShuffledHashJoinOperator(
-          std::move(left), std::move(right), plan->left_keys,
-          plan->right_keys, plan->join_type, plan->residual));
-    }
-    case PlanKind::kSort: {
-      PHOTON_ASSIGN_OR_RETURN(RowOperatorPtr child,
-                              CompileBaseline(plan->children[0], join_impl));
-      return RowOperatorPtr(
-          new baseline::RowSortOperator(std::move(child), plan->sort_keys));
-    }
-    case PlanKind::kLimit: {
-      PHOTON_ASSIGN_OR_RETURN(RowOperatorPtr child,
-                              CompileBaseline(plan->children[0], join_impl));
-      return RowOperatorPtr(
-          new baseline::RowLimitOperator(std::move(child), plan->limit));
-    }
+          std::move(children[0]), std::move(children[1]), node.left_keys,
+          node.right_keys, node.join_type, node.residual));
+    case PlanKind::kSort:
+      return RowOperatorPtr(new baseline::RowSortOperator(
+          std::move(children[0]), node.sort_keys));
+    case PlanKind::kLimit:
+      return RowOperatorPtr(new baseline::RowLimitOperator(
+          std::move(children[0]), node.limit));
   }
   return Status::Internal("bad plan kind");
+}
+
+Result<baseline::RowOperatorPtr> CompileBaseline(
+    const PlanPtr& plan, BaselineJoinImpl join_impl) {
+  PHOTON_RETURN_NOT_OK(CheckNodeExprDepths(*plan));
+  std::vector<baseline::RowOperatorPtr> children;
+  for (const PlanPtr& child : plan->children) {
+    PHOTON_ASSIGN_OR_RETURN(baseline::RowOperatorPtr op,
+                            CompileBaseline(child, join_impl));
+    children.push_back(std::move(op));
+  }
+  return CompileBaselineNode(*plan, std::move(children), join_impl);
 }
 
 }  // namespace plan

@@ -135,7 +135,15 @@ AggPreProject PlanAggPreProject(const PlanNode& agg);
 /// Which baseline join implementation to use (Figure 4 compares both).
 enum class BaselineJoinImpl : uint8_t { kSortMerge, kShuffledHash };
 
-/// Compiles to a baseline row operator tree.
+/// Builds the baseline row operator for one node over its already-built
+/// children (`children[i]` for `node.children[i]`). Checks nothing: the
+/// callers (CompileBaseline, the §5.1 converter) depth-check each node
+/// first.
+Result<baseline::RowOperatorPtr> CompileBaselineNode(
+    const PlanNode& node, std::vector<baseline::RowOperatorPtr> children,
+    BaselineJoinImpl join_impl);
+
+/// Compiles to a baseline row operator tree, depth-checking each node.
 Result<baseline::RowOperatorPtr> CompileBaseline(
     const PlanPtr& plan,
     BaselineJoinImpl join_impl = BaselineJoinImpl::kSortMerge);

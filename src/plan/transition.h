@@ -59,7 +59,8 @@ class TransitionOperator : public baseline::RowOperator {
 /// forwards batches through a simulated foreign-function boundary: one
 /// indirect call per batch whose cost is comparable to a C++ virtual call
 /// (~23 ns in the paper's measurement, §5.2). The call counter feeds the
-/// §6.3 overhead analysis.
+/// §6.3 overhead analysis; the §5.1 converter only counts the scan leaves
+/// where an adapter would sit, since its Photon islands run in-process.
 class AdapterOperator : public Operator {
  public:
   explicit AdapterOperator(OperatorPtr child)

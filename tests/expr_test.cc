@@ -9,6 +9,7 @@
 #include "expr/builder.h"
 #include "expr/function_registry.h"
 #include "expr/fusion.h"
+#include "plan/converter.h"
 #include "plan/logical_plan.h"
 #include "vector/table.h"
 
@@ -856,7 +857,8 @@ TEST(ExprDepthLimitTest, DeepTreesErrorCleanlyInsteadOfOverflowing) {
 
   // Both engines refuse the plan up front, before any recursive walker
   // (canonicalization, fusion, tree Evaluate) can touch the tree: Photon
-  // through every driver entry point, at one and several threads.
+  // through every driver entry point, at one and several threads, and the
+  // §5.1 converter at conversion time, whichever engine runs the node.
   Schema schema({Field("flag", DataType::Boolean())});
   TableBuilder tb(schema, 16);
   tb.AppendRow({Value::Boolean(true)});
@@ -872,6 +874,13 @@ TEST(ExprDepthLimitTest, DeepTreesErrorCleanlyInsteadOfOverflowing) {
   expect_refused(one.Run(p));
   expect_refused(four.Run(p));
   EXPECT_FALSE(plan::CompileBaseline(p).ok());
+  for (bool support : {true, false}) {
+    Result<plan::ConversionResult> converted = plan::ConvertPlan(
+        p, {}, [support](const plan::PlanNode&) { return support; });
+    ASSERT_FALSE(converted.ok()) << "support=" << support;
+    EXPECT_NE(converted.status().ToString().find("nested deeper"),
+              std::string::npos);
+  }
 }
 
 }  // namespace

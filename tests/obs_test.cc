@@ -2,14 +2,16 @@
 // counters and their merge semantics, trace spans and Chrome-trace export,
 // profile-tree assembly, registry behavior under concurrent task updates
 // (the TSan target), and end-to-end QueryProfile emission for every TPC-H
-// plan — including the thread-count-independence regression: a plan's
+// plan — including the thread-count-independence regressions: a plan's
 // profile must report identical rows/batches per operator at 1 and 8
-// threads.
+// threads, and one task per morsel at every thread count.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -20,6 +22,7 @@
 #include "obs/profile.h"
 #include "obs/trace.h"
 #include "plan/logical_plan.h"
+#include "service/query_service.h"
 #include "tpch/tpch_gen.h"
 #include "tpch/tpch_queries.h"
 #include "vector/table.h"
@@ -336,6 +339,49 @@ TEST(QueryProfileTest, FlowCountersIdenticalAcrossThreadCounts) {
     ASSERT_TRUE(out8.ok()) << "q" << q;
     SCOPED_TRACE("q" + std::to_string(q));
     ExpectSameFlowProfile(profile1.root, profile8.root);
+  }
+}
+
+/// Each profile node's task count, in tree order.
+void CollectTaskCounts(const obs::ProfileNode& node, std::vector<int>* out) {
+  out->push_back(node.num_tasks);
+  for (const obs::ProfileNode& child : node.children) {
+    CollectTaskCounts(child, out);
+  }
+}
+
+/// Every morsel is one task: a standalone Run's per-node task counts are
+/// its stages' morsel counts at any worker count (an inline single-worker
+/// run included), and match a QueryService run of the same query.
+TEST(QueryProfileTest, ProfileTasksAreMorselTasksAtEveryThreadCount) {
+  constexpr double kScale = 0.02;
+  static const tpch::TpchData* data =
+      new tpch::TpchData(tpch::GenerateTpch(kScale));
+  // Lineitem is the largest input of both queries; its scan stage splits
+  // into one morsel per 8 table batches — more morsels than workers.
+  const int lineitem_morsels = (data->lineitem.num_batches() + 7) / 8;
+  ASSERT_GT(lineitem_morsels, 4);
+  service::ServiceOptions options;
+  options.worker_threads = 2;
+  service::QueryService service(options);
+  for (int q : {1, 3}) {
+    SCOPED_TRACE("q" + std::to_string(q));
+    Result<plan::PlanPtr> p = tpch::TpchQuery(q, *data, kScale);
+    ASSERT_TRUE(p.ok()) << p.status().ToString();
+    std::shared_ptr<service::QuerySession> session = service.Submit(*p);
+    ASSERT_TRUE(session->Wait().ok());
+    std::vector<int> expected;
+    CollectTaskCounts(session->profile().root, &expected);
+    EXPECT_EQ(*std::max_element(expected.begin(), expected.end()),
+              lineitem_morsels);
+    for (int threads : {1, 2, 4}) {
+      exec::Driver driver(threads);
+      obs::QueryProfile profile;
+      ASSERT_TRUE(driver.Run(*p, {}, nullptr, &profile).ok());
+      std::vector<int> got;
+      CollectTaskCounts(profile.root, &got);
+      EXPECT_EQ(got, expected) << threads << " threads";
+    }
   }
 }
 

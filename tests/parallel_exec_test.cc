@@ -1,13 +1,11 @@
 // Tests for morsel-parallel plan execution through the generalized Driver:
 // result equivalence against single-task execution at 1/2/8 threads,
 // memory-manager correctness under concurrent tasks (including spilling
-// under pressure), and the stage-planner / morsel-queue building blocks.
+// under pressure), and the stage-planner / morsel-split building blocks.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
-#include <thread>
 #include <vector>
 
 #include "common/rng.h"
@@ -100,21 +98,6 @@ TEST(MorselTest, SplitIsInputDerived) {
   m = exec::SplitMorsels(0, 8);
   ASSERT_EQ(m.size(), 1u);
   EXPECT_EQ(m[0].begin, m[0].end);
-}
-
-TEST(MorselTest, QueueHandsOutEachMorselExactlyOnce) {
-  exec::MorselQueue queue(1000);
-  std::vector<std::atomic<int>> claimed(1000);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 8; t++) {
-    threads.emplace_back([&] {
-      for (int m = queue.Next(); m >= 0; m = queue.Next()) {
-        claimed[m].fetch_add(1);
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  for (int i = 0; i < 1000; i++) EXPECT_EQ(claimed[i].load(), 1) << i;
 }
 
 TEST(StagePlannerTest, BreakerKinds) {
