@@ -50,9 +50,10 @@ struct UpdateAssignment {
 
 /// MERGE INTO target USING source ON target.key = source.key ...
 /// The source is an arbitrary logical plan, materialized once per attempt.
-/// Source keys must be unique — each target row matches at most one source
-/// row — which keeps the copy-on-write join cardinality-preserving (the
-/// differ's workload generator dedupes by key for exactly this reason).
+/// Each target row may match at most one source row, which keeps the
+/// copy-on-write join cardinality-preserving; this is enforced: a MERGE
+/// with a matched clause where some target row matches several source rows
+/// fails with InvalidArgument and commits nothing.
 struct MergeSpec {
   plan::PlanPtr source;
   /// Equi-join key columns: indices into the target schema / source schema.
@@ -97,6 +98,7 @@ Result<DmlResult> ExecuteUpdate(DeltaTable* table,
 /// target's key columns yields the not-matched inserts. Because the
 /// matched/not-matched split reads every file, the transaction sets
 /// `reads_all_files` — any concurrent add or remove aborts and retries.
+/// A target row matched by more than one source row is InvalidArgument.
 Result<DmlResult> ExecuteMerge(DeltaTable* table, const MergeSpec& spec,
                                exec::Driver* driver, const ExecContext& ctx,
                                const DmlOptions& options = {});

@@ -343,11 +343,13 @@ Result<Driver::StagedFragment> Driver::PrepareFragment(
       break;
     case plan::FragmentLeaf::kDeltaFiles: {
       const plan::PlanNode* leaf = frag.cut.leaf.get();
-      Schema projected = FileScanOperator::Project(leaf->snapshot.schema,
-                                                   leaf->scan_columns);
-      frag.files =
-          PruneDeltaFiles(leaf->snapshot, leaf->scan_columns,
-                          leaf->scan_predicate, projected, &frag.files_pruned);
+      for (DeltaFileEntry& f :
+           DeltaTable::PruneFiles(leaf->snapshot, leaf->scan_predicate,
+                                  leaf->scan_columns)) {
+        frag.files.push_back(std::move(f.key));
+      }
+      frag.files_pruned = static_cast<int64_t>(leaf->snapshot.files.size() -
+                                               frag.files.size());
       frag.units = static_cast<int>(frag.files.size());
       frag.units_per_morsel = kFilesPerMorsel;
       frag.io = leaf->scan_io;

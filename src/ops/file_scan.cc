@@ -74,19 +74,12 @@ Result<ColumnBatch*> FileScanOperator::GetNextImpl() {
     }
     int rg = next_row_group_++;
     // Row-group skipping: the predicate is expressed over the *projected*
-    // schema; map its column indices back to file stats.
-    if (predicate_ != nullptr) {
-      const RowGroupMeta& meta = reader_->meta().row_groups[rg];
-      std::vector<ColumnChunkMeta> projected_stats;
-      if (columns_.empty()) {
-        projected_stats = meta.columns;
-      } else {
-        for (int c : columns_) projected_stats.push_back(meta.columns[c]);
-      }
-      if (!StatsMayMatch(*predicate_, output_schema_, projected_stats)) {
-        stats_.Add(obs::Metric::kRowGroupsSkipped, 1);
-        continue;
-      }
+    // schema; `columns_` maps its column indices back to file stats.
+    if (predicate_ != nullptr &&
+        !StatsMayMatch(*predicate_, reader_->meta().row_groups[rg].columns,
+                       columns_)) {
+      stats_.Add(obs::Metric::kRowGroupsSkipped, 1);
+      continue;
     }
     PHOTON_ASSIGN_OR_RETURN(current_, reader_->ReadRowGroup(rg, columns_));
     if (predicate_ != nullptr) {
@@ -100,40 +93,17 @@ Result<ColumnBatch*> FileScanOperator::GetNextImpl() {
   }
 }
 
-std::vector<std::string> PruneDeltaFiles(const DeltaSnapshot& snapshot,
-                                         const std::vector<int>& columns,
-                                         const ExprPtr& predicate,
-                                         const Schema& projected_schema,
-                                         int64_t* files_pruned) {
-  // File pruning by snapshot-level stats (data skipping, §2.1): note the
-  // predicate here is over the *projected* schema; only prune when the
-  // projection is identity or the predicate maps cleanly.
-  std::vector<std::string> keys;
-  for (const DeltaFileEntry& f : snapshot.files) {
-    if (predicate != nullptr) {
-      std::vector<ColumnChunkMeta> projected_stats;
-      if (columns.empty()) {
-        projected_stats = f.column_stats;
-      } else {
-        for (int c : columns) projected_stats.push_back(f.column_stats[c]);
-      }
-      if (!StatsMayMatch(*predicate, projected_schema, projected_stats)) {
-        if (files_pruned != nullptr) (*files_pruned)++;
-        continue;
-      }
-    }
-    keys.push_back(f.key);
-  }
-  return keys;
-}
-
 DeltaScanOperator::DeltaScanOperator(ObjectStore* store,
                                      DeltaSnapshot snapshot,
                                      std::vector<int> columns,
                                      ExprPtr predicate, io::IoOptions io)
     : Operator(FileScanOperator::Project(snapshot.schema, columns)) {
-  std::vector<std::string> keys = PruneDeltaFiles(
-      snapshot, columns, predicate, output_schema_, &files_pruned_);
+  std::vector<std::string> keys;
+  for (DeltaFileEntry& f :
+       DeltaTable::PruneFiles(snapshot, predicate, columns)) {
+    keys.push_back(std::move(f.key));
+  }
+  files_pruned_ = static_cast<int64_t>(snapshot.files.size() - keys.size());
   inner_ = std::make_unique<FileScanOperator>(
       store, std::move(keys), snapshot.schema, std::move(columns),
       std::move(predicate), io);

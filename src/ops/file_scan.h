@@ -47,8 +47,6 @@ class FileScanOperator : public Operator {
   void PublishMetricsImpl() override;
 
  private:
-  /// Remaps a predicate over the file schema to the projected schema, or
-  /// nullptr when the predicate references unprojected columns.
   std::vector<std::string> file_keys_;
   Schema file_schema_;
   std::vector<int> columns_;
@@ -63,20 +61,10 @@ class FileScanOperator : public Operator {
   EvalContext ctx_;
 };
 
-/// Stats-based file pruning for a Delta snapshot (data skipping, §2.1):
-/// returns the object-store keys of files whose min/max stats may match
-/// `predicate` (over the projected schema). Used by DeltaScanOperator and
-/// by the parallel driver's morsel planner, which splits the surviving
-/// file list across tasks.
-std::vector<std::string> PruneDeltaFiles(const DeltaSnapshot& snapshot,
-                                         const std::vector<int>& columns,
-                                         const ExprPtr& predicate,
-                                         const Schema& projected_schema,
-                                         int64_t* files_pruned);
-
-/// Scans a Delta table snapshot: prunes files by stats, then chains
-/// FileScan over the survivors. This is the "Lakehouse read path":
-/// Delta log -> file pruning -> columnar scan -> Photon batches.
+/// Scans a Delta table snapshot: prunes files by stats
+/// (DeltaTable::PruneFiles), then chains FileScan over the survivors. This
+/// is the "Lakehouse read path": Delta log -> file pruning -> columnar
+/// scan -> Photon batches.
 class DeltaScanOperator : public Operator {
  public:
   DeltaScanOperator(ObjectStore* store, DeltaSnapshot snapshot,

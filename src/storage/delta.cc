@@ -4,6 +4,8 @@
 #include <chrono>
 #include <thread>
 
+#include "expr/program.h"
+
 namespace photon {
 namespace {
 
@@ -298,7 +300,7 @@ Status DeltaTable::ValidateAgainst(const DeltaTransaction& tx,
   }
   if (tx.read_predicate != nullptr) {
     for (const DeltaFileEntry& add : acts.adds) {
-      if (StatsMayMatch(*tx.read_predicate, tx.schema, add.column_stats)) {
+      if (StatsMayMatch(*tx.read_predicate, add.column_stats)) {
         return conflict("added file '" + add.key +
                         "' whose rows may match this transaction's "
                         "predicate (phantom)");
@@ -436,43 +438,81 @@ Result<int64_t> DeltaTable::Rewrite(const std::vector<std::string>& remove_keys,
 
 namespace {
 
-/// Checks one conjunct of the form (colref cmp literal) — or
-/// (colref BETWEEN lit AND lit) — against stats. Returns false only when
-/// the conjunct provably matches nothing.
-bool ConjunctMayMatch(const Expr& expr,
-                      const std::vector<ColumnChunkMeta>& stats) {
+/// `e` as a literal: itself, or the fold of a literal-only subtree such as
+/// CAST(100 AS int64). Folding is exact, so pruning on it stays sound.
+std::shared_ptr<const LiteralExpr> AsLiteral(const ExprPtr& e) {
+  auto lit = std::dynamic_pointer_cast<const LiteralExpr>(TryFoldConst(e));
+  if (lit == nullptr || lit->value().is_null()) return nullptr;
+  return lit;
+}
+
+/// File or row-group stats, indexed like the predicate's columns: column i
+/// is stats[columns[i]], or stats[i] when `columns` is empty.
+struct StatsView {
+  const std::vector<ColumnChunkMeta>& stats;
+  const std::vector<int>& columns;
+
+  const ColumnChunkMeta* Column(int i) const {
+    if (!columns.empty()) {
+      if (i < 0 || i >= static_cast<int>(columns.size())) return nullptr;
+      i = columns[i];
+    }
+    if (i < 0 || i >= static_cast<int>(stats.size())) return nullptr;
+    return &stats[i];
+  }
+};
+
+/// The stats of `col` when they can be compared with `lit`, else null.
+const ColumnChunkMeta* ComparableStats(const Expr* col,
+                                       const LiteralExpr& lit,
+                                       const StatsView& stats) {
+  const auto* ref = dynamic_cast<const ColumnRefExpr*>(col);
+  if (ref == nullptr) return nullptr;
+  const ColumnChunkMeta* column = stats.Column(ref->index());
+  if (column == nullptr) return nullptr;
+  const ColumnChunkMeta& s = *column;
+  if (!s.has_min_max) return nullptr;
+  // Literal type must match the stats type for Compare to be meaningful.
+  const Value& v = lit.value();
+  if (v.is_string() != s.min.is_string() || v.is_date() != s.min.is_date()) {
+    return nullptr;
+  }
+  // Decimal values carry no scale: compare only at the column's own.
+  if (lit.type().is_decimal() &&
+      lit.type().scale() != ref->type().scale()) {
+    return nullptr;
+  }
+  return &s;
+}
+
+/// Checks one conjunct of the form (colref cmp constant) — or
+/// (colref BETWEEN constant AND constant) — against stats. Returns false
+/// only when the conjunct provably matches nothing.
+bool ConjunctMayMatch(const Expr& expr, const StatsView& stats) {
   if (const auto* between = dynamic_cast<const BetweenExpr*>(&expr)) {
     std::vector<ExprPtr> kids = between->children();
-    const auto* col = dynamic_cast<const ColumnRefExpr*>(kids[0].get());
-    const auto* lo = dynamic_cast<const LiteralExpr*>(kids[1].get());
-    const auto* hi = dynamic_cast<const LiteralExpr*>(kids[2].get());
-    if (col == nullptr || lo == nullptr || hi == nullptr ||
-        lo->value().is_null() || hi->value().is_null()) {
-      return true;
-    }
-    if (col->index() < 0 || col->index() >= static_cast<int>(stats.size())) {
-      return true;
-    }
-    const ColumnChunkMeta& s = stats[col->index()];
-    if (!s.has_min_max) return true;
-    if (lo->value().is_string() != s.min.is_string() ||
-        lo->value().is_date() != s.min.is_date()) {
-      return true;
-    }
+    auto lo = AsLiteral(kids[1]);
+    auto hi = AsLiteral(kids[2]);
+    if (lo == nullptr || hi == nullptr) return true;
+    const ColumnChunkMeta* s = ComparableStats(kids[0].get(), *lo, stats);
+    if (s == nullptr) return true;
     // Overlap test: [lo, hi] vs [min, max].
-    return hi->value().Compare(s.min) >= 0 && lo->value().Compare(s.max) <= 0;
+    return hi->value().Compare(s->min) >= 0 &&
+           lo->value().Compare(s->max) <= 0;
   }
 
   const auto* cmp = dynamic_cast<const ComparisonExpr*>(&expr);
   if (cmp == nullptr) return true;
   std::vector<ExprPtr> children = cmp->children();
-  const auto* col = dynamic_cast<const ColumnRefExpr*>(children[0].get());
-  const auto* lit = dynamic_cast<const LiteralExpr*>(children[1].get());
+  const Expr* col = children[0].get();
+  std::shared_ptr<const LiteralExpr> lit;
   CmpOp op = cmp->op();
-  if (col == nullptr || lit == nullptr) {
-    // literal OP col  ==  col OP' literal with the operator mirrored.
-    col = dynamic_cast<const ColumnRefExpr*>(children[1].get());
-    lit = dynamic_cast<const LiteralExpr*>(children[0].get());
+  if (dynamic_cast<const ColumnRefExpr*>(col) != nullptr) {
+    lit = AsLiteral(children[1]);
+  } else {
+    // constant OP col  ==  col OP' constant with the operator mirrored.
+    col = children[1].get();
+    lit = AsLiteral(children[0]);
     switch (op) {
       case CmpOp::kLt:
         op = CmpOp::kGt;
@@ -490,28 +530,21 @@ bool ConjunctMayMatch(const Expr& expr,
         break;
     }
   }
-  if (col == nullptr || lit == nullptr || lit->value().is_null()) return true;
-  if (col->index() < 0 || col->index() >= static_cast<int>(stats.size())) {
-    return true;
-  }
-  const ColumnChunkMeta& s = stats[col->index()];
-  if (!s.has_min_max) return true;
-  // Literal type must match the stats type for Compare to be meaningful.
+  if (lit == nullptr) return true;
+  const ColumnChunkMeta* s = ComparableStats(col, *lit, stats);
+  if (s == nullptr) return true;
   const Value& v = lit->value();
-  if (v.is_string() != s.min.is_string() || v.is_date() != s.min.is_date()) {
-    return true;
-  }
   switch (op) {
     case CmpOp::kEq:
-      return v.Compare(s.min) >= 0 && v.Compare(s.max) <= 0;
+      return v.Compare(s->min) >= 0 && v.Compare(s->max) <= 0;
     case CmpOp::kLt:
-      return s.min.Compare(v) < 0;
+      return s->min.Compare(v) < 0;
     case CmpOp::kLe:
-      return s.min.Compare(v) <= 0;
+      return s->min.Compare(v) <= 0;
     case CmpOp::kGt:
-      return s.max.Compare(v) > 0;
+      return s->max.Compare(v) > 0;
     case CmpOp::kGe:
-      return s.max.Compare(v) >= 0;
+      return s->max.Compare(v) >= 0;
     case CmpOp::kNe:
       return true;  // almost never prunable
   }
@@ -531,23 +564,25 @@ void CollectConjuncts(const Expr* e, std::vector<const Expr*>* out) {
 
 }  // namespace
 
-bool StatsMayMatch(const Expr& predicate, const Schema& schema,
-                   const std::vector<ColumnChunkMeta>& stats) {
-  (void)schema;
+bool StatsMayMatch(const Expr& predicate,
+                   const std::vector<ColumnChunkMeta>& stats,
+                   const std::vector<int>& columns) {
   std::vector<const Expr*> conjuncts;
   CollectConjuncts(&predicate, &conjuncts);
+  const StatsView view{stats, columns};
   for (const Expr* conjunct : conjuncts) {
-    if (!ConjunctMayMatch(*conjunct, stats)) return false;
+    if (!ConjunctMayMatch(*conjunct, view)) return false;
   }
   return true;
 }
 
 std::vector<DeltaFileEntry> DeltaTable::PruneFiles(
-    const DeltaSnapshot& snapshot, const ExprPtr& predicate) {
+    const DeltaSnapshot& snapshot, const ExprPtr& predicate,
+    const std::vector<int>& columns) {
   if (predicate == nullptr) return snapshot.files;
   std::vector<DeltaFileEntry> out;
   for (const DeltaFileEntry& file : snapshot.files) {
-    if (StatsMayMatch(*predicate, snapshot.schema, file.column_stats)) {
+    if (StatsMayMatch(*predicate, file.column_stats, columns)) {
       out.push_back(file);
     }
   }

@@ -140,10 +140,13 @@ class DeltaTable {
   void SetIoCache(io::BlockCache* cache);
 
   /// Files of `snapshot` that may contain rows matching `predicate`,
-  /// using per-column min/max stats (data skipping / file pruning). A null
-  /// predicate returns all files.
+  /// using per-column min/max stats (data skipping / file pruning, §2.1).
+  /// The predicate's column indices refer to `columns`, a projection of
+  /// the snapshot schema, or to the full schema when `columns` is empty.
+  /// A null predicate returns all files.
   static std::vector<DeltaFileEntry> PruneFiles(
-      const DeltaSnapshot& snapshot, const ExprPtr& predicate);
+      const DeltaSnapshot& snapshot, const ExprPtr& predicate,
+      const std::vector<int>& columns = {});
 
  private:
   DeltaTable(ObjectStore* store, std::string path);
@@ -175,10 +178,15 @@ class DeltaTable {
   std::unique_ptr<io::CachingStore> io_;
 };
 
-/// True when a conjunct of the form `col <op> literal` could match any row
-/// given [min, max] column stats. Exposed for testing.
-bool StatsMayMatch(const Expr& predicate, const Schema& schema,
-                   const std::vector<ColumnChunkMeta>& stats);
+/// False only when some conjunct of `predicate` of the form `col <op> c`
+/// or `col BETWEEN c1 AND c2` provably matches no row given the [min, max]
+/// `stats` of a file or row group. Each `c` is a literal or a literal-only
+/// subtree such as `CAST(100 AS int64)`, folded exactly. The predicate's
+/// column i has stats[columns[i]] (a projection), or stats[i] when
+/// `columns` is empty.
+bool StatsMayMatch(const Expr& predicate,
+                   const std::vector<ColumnChunkMeta>& stats,
+                   const std::vector<int>& columns = {});
 
 }  // namespace photon
 

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
 #include <set>
 #include <thread>
 #include <vector>
@@ -41,6 +42,23 @@ Table KvTable(int64_t begin, int64_t end, int64_t val_bias = 0) {
 
 ExprPtr IdCol() { return Col(0, DataType::Int64(), "id"); }
 ExprPtr ValCol() { return Col(1, DataType::Int64(), "val"); }
+
+/// MERGE INTO kv USING source s ON kv.id = s.id
+///   WHEN MATCHED THEN UPDATE SET val = s.val
+///   WHEN NOT MATCHED THEN INSERT VALUES (s.id, s.val)
+dml::MergeSpec Upsert(const Table* source) {
+  dml::MergeSpec spec;
+  spec.source = plan::Scan(source);
+  spec.target_keys = {0};
+  spec.source_keys = {0};
+  // Matched exprs run over [target id, target val, source id, source val];
+  // insert exprs over the source columns.
+  spec.matched_exprs = {Col(0, DataType::Int64(), "id"),
+                        Col(3, DataType::Int64(), "val")};
+  spec.insert_exprs = {Col(0, DataType::Int64(), "id"),
+                       Col(1, DataType::Int64(), "val")};
+  return spec;
+}
 
 /// Sorted (id, val) pairs of the table at `version` (-1 = latest).
 std::vector<std::pair<int64_t, int64_t>> ScanRows(DeltaTable* table,
@@ -208,10 +226,35 @@ class DmlTest : public ::testing::Test {
     table_ = std::move(*created);
   }
 
+  using Statement = std::function<Result<dml::DmlResult>(const ExecContext&)>;
+
+  /// A DELETE, an UPDATE and a MERGE that each rewrite a KvTable(0, 100)
+  /// file: DELETE and UPDATE the rows `id < 50`, MERGE upserts ids 40..109.
+  std::vector<std::pair<std::string, Statement>> RewritingStatements() {
+    ExprPtr pred = eb::Lt(IdCol(), Lit(int64_t{50}));
+    std::vector<dml::UpdateAssignment> set = {{1, Lit(int64_t{7})}};
+    return {
+        {"delete",
+         [=](const ExecContext& ctx) {
+           return dml::ExecuteDelete(table_.get(), pred, &driver_, ctx);
+         }},
+        {"update",
+         [=](const ExecContext& ctx) {
+           return dml::ExecuteUpdate(table_.get(), set, pred, &driver_, ctx);
+         }},
+        {"merge",
+         [this](const ExecContext& ctx) {
+           return dml::ExecuteMerge(table_.get(), Upsert(&merge_source_),
+                                    &driver_, ctx);
+         }},
+    };
+  }
+
   ObjectStore store_;
   std::unique_ptr<DeltaTable> table_;
   exec::Driver driver_{2};
   ExecContext ctx_;
+  Table merge_source_ = KvTable(40, 110, 5000);
 };
 
 TEST_F(DmlTest, DeleteRewritesOnlyMatchingFiles) {
@@ -304,19 +347,7 @@ TEST_F(DmlTest, MergeUpdatesMatchesAndInsertsRest) {
   // Source: ids 90..110 → 10 matched (90..99), 10 inserted (100..109),
   // all with val = id + 5000.
   Table source = KvTable(90, 110, 5000);
-
-  dml::MergeSpec spec;
-  spec.source = plan::Scan(&source);
-  spec.target_keys = {0};
-  spec.source_keys = {0};
-  // WHEN MATCHED THEN UPDATE SET val = source.val: exprs over
-  // [target id, target val, source id, source val].
-  spec.matched_exprs = {Col(0, DataType::Int64(), "id"),
-                        Col(3, DataType::Int64(), "val")};
-  // WHEN NOT MATCHED THEN INSERT (id, val) VALUES (s.id, s.val): over the
-  // source columns.
-  spec.insert_exprs = {Col(0, DataType::Int64(), "id"),
-                       Col(1, DataType::Int64(), "val")};
+  dml::MergeSpec spec = Upsert(&source);
   auto result = dml::ExecuteMerge(table_.get(), spec, &driver_, ctx_);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->rows_affected, 10);
@@ -331,32 +362,61 @@ TEST_F(DmlTest, MergeUpdatesMatchesAndInsertsRest) {
   ExpectNoLeakedDataFiles(&store_, table_.get());
 }
 
+TEST_F(DmlTest, MergeRefusesATargetRowMatchedTwice) {
+  ASSERT_TRUE(table_->Append(KvTable(0, 200)).ok());
+  ASSERT_TRUE(table_->Append(KvTable(200, 400)).ok());
+  // Source ids 190..210 match rows in both files; id 210 appears twice,
+  // so the second file's target row 210 matches two source rows. The
+  // first file's rewrite is already staged when the second is refused.
+  TableBuilder builder(KvSchema());
+  for (int64_t id = 190; id <= 210; id++) {
+    builder.AppendRow({Value::Int64(id), Value::Int64(id + 5000)});
+  }
+  builder.AppendRow({Value::Int64(210), Value::Int64(6000)});
+  Table source = builder.Finish();
+  auto result =
+      dml::ExecuteMerge(table_.get(), Upsert(&source), &driver_, ctx_);
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsInvalidArgument())
+      << result.status().ToString();
+  auto latest = table_->LatestVersion();
+  ASSERT_TRUE(latest.ok());
+  EXPECT_EQ(*latest, 2);  // nothing committed
+  EXPECT_EQ(ScanRows(table_.get(), &driver_).size(), 400u);
+  ExpectNoLeakedDataFiles(&store_, table_.get());
+}
+
 TEST_F(DmlTest, CancelledDmlStagesNothing) {
   ASSERT_TRUE(table_->Append(KvTable(0, 100)).ok());
   QueryControl control;
   control.Cancel();
   ExecContext ctx = ctx_;
   ctx.control = &control;
-  auto result = dml::ExecuteDelete(table_.get(),
-                                   eb::Lt(IdCol(), Lit(int64_t{50})),
-                                   &driver_, ctx);
-  ASSERT_FALSE(result.ok());
-  EXPECT_TRUE(result.status().IsCancelled());
-  auto latest = table_->LatestVersion();
-  ASSERT_TRUE(latest.ok());
-  EXPECT_EQ(*latest, 1);  // nothing committed
-  ExpectNoLeakedDataFiles(&store_, table_.get());
+  for (const auto& [name, statement] : RewritingStatements()) {
+    SCOPED_TRACE(name);
+    auto result = statement(ctx);
+    ASSERT_FALSE(result.ok());
+    EXPECT_TRUE(result.status().IsCancelled()) << result.status().ToString();
+    auto latest = table_->LatestVersion();
+    ASSERT_TRUE(latest.ok());
+    EXPECT_EQ(*latest, 1);  // nothing committed
+    ExpectNoLeakedDataFiles(&store_, table_.get());
+  }
 }
 
 TEST_F(DmlTest, FailedStagingWriteReleasesAndSurfacesError) {
   ASSERT_TRUE(table_->Append(KvTable(0, 100)).ok());
-  store_.FailNextPuts(1);
-  auto result = dml::ExecuteDelete(table_.get(),
-                                   eb::Lt(IdCol(), Lit(int64_t{50})),
-                                   &driver_, ctx_);
-  ASSERT_FALSE(result.ok());
-  EXPECT_TRUE(result.status().IsIoError()) << result.status().ToString();
-  ExpectNoLeakedDataFiles(&store_, table_.get());
+  for (const auto& [name, statement] : RewritingStatements()) {
+    SCOPED_TRACE(name);
+    store_.FailNextPuts(1);
+    auto result = statement(ctx_);
+    ASSERT_FALSE(result.ok());
+    EXPECT_TRUE(result.status().IsIoError()) << result.status().ToString();
+    auto latest = table_->LatestVersion();
+    ASSERT_TRUE(latest.ok());
+    EXPECT_EQ(*latest, 1);  // nothing committed
+    ExpectNoLeakedDataFiles(&store_, table_.get());
+  }
 }
 
 // --- Conflict retry convergence ---------------------------------------------
@@ -401,6 +461,55 @@ TEST(DeltaDmlRaceTest, DisjointDeletesAllConvergeUnderRetry) {
   ASSERT_EQ(rows.size(), 200u);
   for (const auto& [id, val] : rows) {
     EXPECT_GE(id % 100, 50) << "id " << id << " should have been deleted";
+  }
+  ExpectNoLeakedDataFiles(&store, table->get());
+}
+
+TEST(DeltaDmlRaceTest, DisjointMergesAllConvergeUnderRetry) {
+  ObjectStore store;
+  {
+    auto created = DeltaTable::Create(&store, "tables/merges", KvSchema());
+    ASSERT_TRUE(created.ok());
+    // MERGE reads every file (reads_all_files): each commit conflicts
+    // with every MERGE still in flight, which must retry.
+    ASSERT_TRUE((*created)->Append(KvTable(0, 400)).ok());
+  }
+  constexpr int kThreads = 4;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; t++) {
+    threads.emplace_back([&, t] {
+      auto table = DeltaTable::Open(&store, "tables/merges");
+      ASSERT_TRUE(table.ok());
+      exec::Driver driver(1);
+      // Upsert ids [t*100, t*100+50) (matched) and [1000+t*100,
+      // 1000+t*100+25) (inserted), val = id + 5000: disjoint keys.
+      TableBuilder builder(KvSchema());
+      for (int64_t id : {t * 100, 1000 + t * 100}) {
+        const int64_t end = id + (id < 1000 ? 50 : 25);
+        for (; id < end; id++) {
+          builder.AppendRow({Value::Int64(id), Value::Int64(id + 5000)});
+        }
+      }
+      Table source = builder.Finish();
+      dml::DmlOptions options;
+      options.max_retries = 32;
+      auto result = dml::ExecuteMerge(table->get(), Upsert(&source), &driver,
+                                      ExecContext{}, options);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      EXPECT_EQ(result->rows_affected, 50);
+      EXPECT_EQ(result->rows_inserted, 25);
+    });
+  }
+  for (auto& t : threads) t.join();
+
+  auto table = DeltaTable::Open(&store, "tables/merges");
+  ASSERT_TRUE(table.ok());
+  exec::Driver driver(1);
+  auto rows = ScanRows(table->get(), &driver);
+  ASSERT_EQ(rows.size(), 500u);
+  for (const auto& [id, val] : rows) {
+    const bool upserted = id >= 1000 || id % 100 < 50;
+    EXPECT_EQ(val, upserted ? id + 5000 : id) << "id " << id;
   }
   ExpectNoLeakedDataFiles(&store, table->get());
 }

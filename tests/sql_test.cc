@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -9,6 +11,8 @@
 #include "exec/driver.h"
 #include "expr/builder.h"
 #include "expr/program.h"
+#include "obs/profile.h"
+#include "opt/optimizer.h"
 #include "plan/logical_plan.h"
 #include "sql/analyzer.h"
 #include "sql/catalog.h"
@@ -619,6 +623,53 @@ TEST_F(SqlDmlTest, VersionAsOfPinsThePreDmlSnapshot) {
   // Version 1 is the seed append, before the delete.
   Table then = Query("SELECT count(id) AS n FROM kv VERSION AS OF 1");
   EXPECT_EQ(then.GetRow(0)[0], Value::Int64(25));
+}
+
+TEST_F(SqlDmlTest, CastLiteralPredicatePrunesDeltaFiles) {
+  // Three more files: kv holds ids 0..99 in four files of 25.
+  for (int64_t base = 25; base < 100; base += 25) {
+    TableBuilder b(kv_->Snapshot()->schema);
+    for (int64_t i = base; i < base + 25; i++) {
+      b.AppendRow({Value::Int64(i), Value::Int64(i * 10)});
+    }
+    PHOTON_CHECK(kv_->Append(b.Finish()).ok());
+  }
+  PHOTON_CHECK(catalog_.RegisterDeltaTable("kv", kv_.get()).ok());
+
+  // The analyzer types 10 as int32 and casts it to the int64 column, so
+  // zone maps see CAST(10 AS int64); the optimizer pushes it into the scan.
+  auto run = [&](const std::string& text, int64_t* files_pruned) {
+    plan::PlanPtr plan = opt::Optimize(Stmt(text).plan);
+    obs::QueryProfile profile;
+    Result<Table> t = driver_.Run(plan, ExecContext{}, nullptr, &profile);
+    PHOTON_CHECK(t.ok());
+    std::function<int64_t(const obs::ProfileNode&)> pruned =
+        [&](const obs::ProfileNode& n) {
+          int64_t sum = n.Sum(obs::Metric::kFilesPruned);
+          for (const obs::ProfileNode& c : n.children) sum += pruned(c);
+          return sum;
+        };
+    *files_pruned = pruned(profile.root);
+    std::vector<std::vector<Value>> rows = t->ToRows();
+    std::sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
+      return a[0].Compare(b[0]) < 0;
+    });
+    return rows;
+  };
+  int64_t pruned = 0;
+  int64_t unprunable = 0;
+  auto rows = run("SELECT id, val FROM kv WHERE id < 10", &pruned);
+  EXPECT_EQ(pruned, 3);
+  // `id + 0` is no column reference: nothing is pruned, same rows.
+  EXPECT_EQ(rows, run("SELECT id, val FROM kv WHERE id + 0 < 10",
+                      &unprunable));
+  EXPECT_EQ(unprunable, 0);
+  EXPECT_EQ(rows.size(), 10u);
+
+  // DML candidate pruning reads the same zone maps.
+  dml::DmlResult r = Execute("DELETE FROM kv WHERE id < 10");
+  EXPECT_EQ(r.files_pruned, 3);
+  EXPECT_EQ(r.rows_affected, 10);
 }
 
 TEST_F(SqlDmlTest, DmlAndTimeTravelErrorsAreLocated) {

@@ -305,6 +305,36 @@ TEST(DeltaTest, DataSkippingPrunesFiles) {
   pred = eb::Like(Col(1, DataType::String(), "v"), "v1%");
   pruned = DeltaTable::PruneFiles(*snap, pred);
   EXPECT_EQ(pruned.size(), 3u);
+
+  // A literal-only operand is folded: SQL types `id BETWEEN 120 AND 130`
+  // with int32 literals cast to the int64 column.
+  pred = eb::Between(Col(0, DataType::Int64(), "id"),
+                     eb::Cast(eb::Lit(int32_t{120}), DataType::Int64()),
+                     eb::Cast(eb::Lit(int32_t{130}), DataType::Int64()));
+  pruned = DeltaTable::PruneFiles(*snap, pred);
+  ASSERT_EQ(pruned.size(), 1u);
+  EXPECT_EQ(pruned[0].key, snap->files[1].key);
+
+  // Over a projection (v, id): the predicate's column 1 is the file's
+  // `id`; the folded constant may also sit on the left.
+  pred = eb::Lt(eb::Cast(eb::Lit(int32_t{100}), DataType::Int64()),
+                Col(1, DataType::Int64(), "id"));
+  pruned = DeltaTable::PruneFiles(*snap, pred, /*columns=*/{1, 0});
+  EXPECT_EQ(pruned.size(), 2u);
+}
+
+TEST(DeltaTest, DataSkippingComparesDecimalsAtTheColumnScale) {
+  // A decimal(10,2) chunk holding 1.00..2.00: stats are unscaled 100..200.
+  ColumnChunkMeta chunk;
+  chunk.has_min_max = true;
+  chunk.min = Value::Decimal(Decimal128::FromInt64(100));
+  chunk.max = Value::Decimal(Decimal128::FromInt64(200));
+  ExprPtr d = Col(0, DataType::Decimal(10, 2), "d");
+  // 5.0 at scale 1 is unscaled 50; compared raw it would prove d < 5.0
+  // false and prune a chunk whose every row matches.
+  EXPECT_TRUE(StatsMayMatch(*eb::Lt(d, eb::DecimalLit("5.0", 2, 1)), {chunk}));
+  EXPECT_FALSE(
+      StatsMayMatch(*eb::Lt(d, eb::DecimalLit("0.50", 10, 2)), {chunk}));
 }
 
 TEST(DeltaScanTest, EndToEndWithSkipping) {
