@@ -2,8 +2,9 @@
 // 1/2/4/8 worker threads, each verified against the single-task
 // reference. The paper's Photon scales by running one single-threaded
 // task per core under the DBR driver (§2.2, Figure 1); this bench is the
-// miniature equivalent — one Driver, morsels claimed from a shared queue,
-// partial-aggregate / shared-build / merge-sort parallel breakers.
+// miniature equivalent — one Driver, one scheduler task per morsel, and
+// parallel breakers: partial aggregates with hash-partitioned final
+// merges, partitioned join builds, sorted runs with a k-way merge.
 //
 // Usage: bench_parallel_scaling [sf] [--sf F] [--json PATH]
 

@@ -204,28 +204,41 @@ Result<DmlResult> ExecuteUpdate(DeltaTable* table,
               ? eb::If(predicate, std::move(value), ColRef(schema, u.column))
               : std::move(value);
     }
+    // With a predicate, the rewrite pass also emits one extra column that
+    // is non-null exactly on the matching rows, so one read of the file
+    // both rewrites it and counts its matches; an untouched file is then
+    // never rewritten. The column is dropped before staging.
+    std::vector<std::string> names = FieldNames(schema);
+    if (predicate != nullptr) {
+      exprs.push_back(
+          eb::If(predicate, eb::Lit(true), eb::NullLit(DataType::Boolean())));
+      names.push_back("__matched");
+    }
+    const int width = schema.num_fields();
+    std::vector<ExprPtr> drop_flag;
+    for (int i = 0; i < width; i++) drop_flag.push_back(ColRef(schema, i));
     // An unqualified UPDATE touches every row: its read set is the table.
     a->tx.reads_all_files = predicate == nullptr;
     for (const DeltaFileEntry& file : Candidates(a, predicate)) {
       PHOTON_RETURN_NOT_OK(CheckCancelled(ctx));
-      int64_t matched = file.num_rows;
-      if (predicate != nullptr) {
-        // Count matching rows first (with stats pushdown — only matches
-        // are needed) so untouched files are never rewritten.
-        PHOTON_ASSIGN_OR_RETURN(
-            Table matches,
-            driver->RunSingleTask(
-                plan::Filter(a->ScanFile(file, predicate), predicate), ctx));
-        matched = matches.num_rows();
-      }
-      if (matched == 0) continue;
       PHOTON_ASSIGN_OR_RETURN(
           Table rewritten,
-          driver->RunSingleTask(plan::Project(a->ScanFile(file), exprs,
-                                              FieldNames(schema)),
+          driver->RunSingleTask(plan::Project(a->ScanFile(file), exprs, names),
+                                ctx));
+      if (predicate == nullptr) {
+        a->result.rows_affected += file.num_rows;
+        PHOTON_RETURN_NOT_OK(a->RewriteFile(file, rewritten));
+        continue;
+      }
+      const int64_t matched = CountNonNull(rewritten, width);
+      if (matched == 0) continue;
+      PHOTON_ASSIGN_OR_RETURN(
+          Table rows,
+          driver->RunSingleTask(plan::Project(plan::Scan(&rewritten),
+                                              drop_flag, FieldNames(schema)),
                                 ctx));
       a->result.rows_affected += matched;
-      PHOTON_RETURN_NOT_OK(a->RewriteFile(file, rewritten));
+      PHOTON_RETURN_NOT_OK(a->RewriteFile(file, rows));
     }
     return Status::OK();
   });

@@ -9,7 +9,6 @@
 #include "ops/file_scan.h"
 #include "ops/filter.h"
 #include "ops/fused_filter_project.h"
-#include "ops/hash_join.h"
 #include "ops/limit.h"
 #include "ops/project.h"
 #include "ops/scan.h"
@@ -27,6 +26,13 @@ int64_t NowNs() { return obs::WallNowNs(); }
 constexpr int kMorselBatches = 8;   // table batches per morsel
 constexpr int kFilesPerMorsel = 2;  // scan files per morsel
 
+// Join builds: a build side of several parts and at least
+// kMinPartitionedBuildRows rows is inserted one hash partition per task
+// into 2^kBuildPartitionBits sub-tables; smaller ones into one table.
+// Both are functions of the input only, like the morsel sizes.
+constexpr int kBuildPartitionBits = 3;
+constexpr int64_t kMinPartitionedBuildRows = 16384;
+
 // Process-wide counter: task groups must be unique across *all* Driver
 // instances. Concurrent sessions each construct a driver over one shared
 // MemoryManager; colliding group ids would put two queries' consumers in
@@ -42,12 +48,25 @@ Status CheckAlive(const ExecContext& ctx) {
   return ctx.control != nullptr ? ctx.control->Check() : Status::OK();
 }
 
-/// Appends compacted copies of every batch of `src` to `dst`.
-void AppendTable(const Table& src, Table* dst) {
-  for (int b = 0; b < src.num_batches(); b++) {
-    if (src.batch(b).num_active() == 0) continue;
-    dst->AppendBatch(CompactBatch(src.batch(b)));
+/// Concatenates a node's per-task outputs into one table in task order,
+/// moving their batches (stage outputs are compact already); empty
+/// batches are dropped.
+Table Concat(std::vector<std::unique_ptr<Table>> parts, const Schema& schema) {
+  if (parts.size() == 1) return std::move(*parts[0]);
+  Table out(schema);
+  for (std::unique_ptr<Table>& part : parts) {
+    for (std::unique_ptr<ColumnBatch>& b : part->ReleaseBatches()) {
+      if (b->num_active() == 0) continue;
+      out.AppendBatch(b->all_active() ? std::move(b) : CompactBatch(*b));
+    }
   }
+  return out;
+}
+
+std::vector<std::unique_ptr<Table>> OnePart(Table table) {
+  std::vector<std::unique_ptr<Table>> parts;
+  parts.push_back(std::make_unique<Table>(std::move(table)));
+  return parts;
 }
 
 /// Profile-node label for an in-fragment (streaming) plan node.
@@ -182,7 +201,10 @@ Result<Table> Driver::Execute(const plan::PlanPtr& plan, ExecContext ctx,
   obs::ProfileBuilder builder;
   if (stages != nullptr || profile != nullptr) state.profile = &builder;
   int64_t t0 = NowNs();
-  Result<Table> out = RunNode(plan, &state, -1);
+  Result<Parts> parts = RunNode(plan, &state, -1);
+  Result<Table> out = parts.ok() ? Result<Table>(Concat(std::move(*parts),
+                                                        plan->output_schema))
+                                 : Result<Table>(parts.status());
   if (profile != nullptr) {
     *profile = builder.Finish(NowNs() - t0,
                               driver != nullptr ? driver->num_threads() : 1);
@@ -190,8 +212,8 @@ Result<Table> Driver::Execute(const plan::PlanPtr& plan, ExecContext ctx,
   return out;
 }
 
-Result<Table> Driver::RunNode(const plan::PlanPtr& node, RunState* state,
-                              int parent_node) {
+Result<Driver::Parts> Driver::RunNode(const plan::PlanPtr& node,
+                                      RunState* state, int parent_node) {
   switch (node->kind) {
     case plan::PlanKind::kAggregate:
       return RunAggregate(node, state, parent_node);
@@ -204,9 +226,11 @@ Result<Table> Driver::RunNode(const plan::PlanPtr& node, RunState* state,
       if (state->profile != nullptr) {
         limit_id = state->profile->AddNode("Limit", parent_node);
       }
-      PHOTON_ASSIGN_OR_RETURN(Table child,
+      PHOTON_ASSIGN_OR_RETURN(Parts child,
                               RunNode(node->children[0], state, limit_id));
-      LimitOperator limit(OperatorPtr(new InMemoryScanOperator(&child)),
+      Table input =
+          Concat(std::move(child), node->children[0]->output_schema);
+      LimitOperator limit(OperatorPtr(new InMemoryScanOperator(&input)),
                           node->limit);
       Result<Table> out = CollectAll(&limit, state->ctx.control);
       if (state->profile != nullptr) {
@@ -215,7 +239,8 @@ Result<Table> Driver::RunNode(const plan::PlanPtr& node, RunState* state,
             ->TaskShard(limit_id, state->profile->NewTaskId())
             ->MergeFrom(limit.op_metrics());
       }
-      return out;
+      PHOTON_RETURN_NOT_OK(out.status());
+      return OnePart(std::move(*out));
     }
     default:
       return RunFragment(node, state, parent_node);
@@ -299,10 +324,11 @@ Result<Driver::StagedFragment> Driver::PrepareFragment(
   }
 
   // Build sides of in-fragment joins: each is materialized by its own
-  // (recursive) stages, then hashed once into a shared build state; a
-  // single task instead keeps the build's fragment and hashes it inside
-  // the task. In the profile the build subtree hangs under the join node,
-  // next to the probe-side chain. (Joins are always singleton groups.)
+  // (recursive) stages, then hashed by a build stage into a shared build
+  // state; a single task instead keeps the build's fragment and hashes it
+  // inside the task. In the profile the build subtree hangs under the
+  // join node, next to the probe-side chain. (Joins are always singleton
+  // groups.)
   frag.builds.resize(nodes.size());
   frag.build_frags.resize(nodes.size());
   for (size_t g = 0; g < frag.groups.size(); g++) {
@@ -323,16 +349,10 @@ Result<Driver::StagedFragment> Driver::PrepareFragment(
       continue;
     }
     PHOTON_ASSIGN_OR_RETURN(
-        Table build_table,
+        Parts build_parts,
         RunNode(node->children[1], state, frag.node_ids[g]));
-    ExecContext build_ctx = state->ctx;
-    build_ctx.task_group = NextTaskGroup();
-    InMemoryScanOperator build_scan(&build_table);
-    obs::TraceSpan span("join_build", static_cast<int64_t>(idx));
     PHOTON_ASSIGN_OR_RETURN(
-        frag.builds[idx],
-        HashJoinOperator::BuildShared(&build_scan, node->right_keys,
-                                      build_ctx));
+        frag.builds[idx], RunJoinBuild(*node, std::move(build_parts), state));
   }
 
   switch (frag.cut.leaf_kind) {
@@ -368,8 +388,9 @@ Result<Driver::StagedFragment> Driver::PrepareFragment(
     }
     case plan::FragmentLeaf::kStage: {
       PHOTON_ASSIGN_OR_RETURN(
-          Table staged, RunNode(frag.cut.leaf, state, frag.leaf_node_id));
-      frag.staged = std::make_unique<Table>(std::move(staged));
+          Parts staged, RunNode(frag.cut.leaf, state, frag.leaf_node_id));
+      frag.staged = std::make_unique<Table>(
+          Concat(std::move(staged), frag.cut.leaf->output_schema));
       frag.source_table = frag.staged.get();
       frag.units = frag.source_table->num_batches();
       frag.units_per_morsel = kMorselBatches;
@@ -441,14 +462,82 @@ Result<OperatorPtr> Driver::InstantiateFragment(const StagedFragment& frag,
   return op;
 }
 
-Result<std::vector<std::unique_ptr<Table>>> Driver::RunMorselStage(
-    const StagedFragment& frag, RunState* state, const WrapFn& wrap,
-    int wrap_node_id, StageInfo* info) {
+Status Driver::RunTasks(RunState* state, int stage_id, int num_tasks,
+                        const std::function<Status(int)>& task) {
+  const Driver* driver = state->driver;
+  obs::MetricSet* stage_set = state->profile != nullptr
+                                  ? state->profile->StageSet(stage_id)
+                                  : nullptr;
+  auto run = [&](int i) -> Status {
+    // Task starts are cancellation points: a cancelled or
+    // deadline-expired query's queued tasks bail here, which is what makes
+    // cancellation prompt at 8 threads.
+    PHOTON_RETURN_NOT_OK(CheckAlive(state->ctx));
+    int64_t cpu0 = stage_set != nullptr ? obs::ThreadCpuNs() : 0;
+    Status status = task(i);
+    if (stage_set != nullptr) {
+      stage_set->Add(obs::Metric::kCpuNs, obs::ThreadCpuNs() - cpu0);
+    }
+    return status;
+  };
+
+  Status status = Status::OK();
+  if (num_tasks <= 1 ||
+      (driver->owned_scheduler_ != nullptr && driver->num_threads() == 1)) {
+    // One task (always, for RunSingleTask) or a single-worker standalone
+    // driver: run the tasks inline on the calling thread. In service mode
+    // this keeps point queries off the shared queues entirely — their
+    // single task runs on the session's own control thread at zero
+    // scheduling latency — but a multi-task stage always goes through
+    // the shared scheduler, whatever its size, so the worker cap and
+    // round-robin fairness hold.
+    for (int i = 0; i < num_tasks && status.ok(); i++) status = run(i);
+  } else {
+    // The scheduler drains query queues round-robin, so between any two
+    // of our tasks every peer query (in service mode) gets a turn.
+    std::vector<std::future<Status>> futures;
+    futures.reserve(num_tasks);
+    for (int i = 0; i < num_tasks; i++) {
+      futures.push_back(driver->scheduler_->Submit(
+          driver->query_slot_, [&run, i] { return run(i); }));
+    }
+    // Join every task before surfacing the first error — peers share the
+    // output slots. (Also a breaker-barrier cancellation point: the
+    // post-join CheckAlive below turns "every task bailed at its start"
+    // into a crisp kCancelled for the whole stage.)
+    obs::TraceSpan barrier("stage_barrier", stage_id);
+    for (auto& f : futures) {
+      Status s = f.get();
+      if (status.ok() && !s.ok()) status = s;
+    }
+  }
+  if (status.ok()) status = CheckAlive(state->ctx);
+  return status;
+}
+
+void Driver::FinishStage(RunState* state, int num_tasks, int64_t t0,
+                         StageInfo* info) {
+  const int workers =
+      state->driver != nullptr ? state->driver->num_threads() : 1;
+  info->num_tasks = std::max(1, std::min(workers, num_tasks));
+  int64_t wall = NowNs() - t0;
+  if (state->profile != nullptr) {
+    state->profile->StageSet(info->stage_id)->Add(obs::Metric::kWallNs, wall);
+    info->m = state->profile->StageSnapshot(info->stage_id);
+  } else {
+    info->m[obs::Metric::kWallNs] = wall;
+  }
+  if (state->stages != nullptr) state->stages->push_back(*info);
+}
+
+Result<Driver::Parts> Driver::RunMorselStage(const StagedFragment& frag,
+                                             RunState* state,
+                                             const WrapFn& wrap,
+                                             int wrap_node_id,
+                                             StageInfo* info) {
   std::vector<Morsel> morsels =
       SplitMorsels(frag.units, frag.units_per_morsel);
   const int num_morsels = static_cast<int>(morsels.size());
-  const Driver* driver = state->driver;
-  const int workers = driver != nullptr ? driver->num_threads() : 1;
   const int stage_id = info->stage_id;
   obs::ProfileBuilder* profile = state->profile;
   obs::MetricSet* stage_set =
@@ -468,20 +557,15 @@ Result<std::vector<std::unique_ptr<Table>>> Driver::RunMorselStage(
   }
   int64_t t0 = NowNs();
 
-  std::vector<std::unique_ptr<Table>> slots(num_morsels);
+  Parts slots(num_morsels);
 
   // One task per morsel, with one metric shard per (node, task): the shard
   // is only ever touched by this task, so the hot path is uncontended
   // relaxed atomics and the merge happens here, after the morsel is
   // drained — the sharded-then-merged-at-barriers design of §5.2.
-  auto task = [&, stage_id](int m) -> Status {
-    // Task starts are cancellation points: a cancelled or
-    // deadline-expired query's queued tasks bail here, which is what makes
-    // cancellation prompt at 8 threads.
-    PHOTON_RETURN_NOT_OK(CheckAlive(state->ctx));
+  auto task = [&](int m) -> Status {
     const int64_t task_id = profile != nullptr ? profile->NewTaskId() : 0;
     obs::TraceSpan morsel_span("morsel", m);
-    int64_t cpu0 = profile != nullptr ? obs::ThreadCpuNs() : 0;
     ExecContext task_ctx = state->ctx;
     task_ctx.task_group = NextTaskGroup();
     // Unique per-task spill namespace: concurrent tasks must never
@@ -508,7 +592,6 @@ Result<std::vector<std::unique_ptr<Table>>> Driver::RunMorselStage(
         }
         stage_set->MergeResourceFrom(hop->op_metrics());
       }
-      stage_set->Add(obs::Metric::kCpuNs, obs::ThreadCpuNs() - cpu0);
       if (out.ok()) {
         stage_set->Add(obs::Metric::kRowsOut, out->num_rows());
         stage_set->Add(obs::Metric::kBatches, out->num_batches());
@@ -518,53 +601,51 @@ Result<std::vector<std::unique_ptr<Table>>> Driver::RunMorselStage(
     slots[m] = std::make_unique<Table>(std::move(*out));
     return Status::OK();
   };
-
-  Status status = Status::OK();
-  if (num_morsels == 1 ||
-      (driver->owned_scheduler_ != nullptr && workers == 1)) {
-    // One morsel (always, for RunSingleTask) or a single-worker standalone
-    // driver: run the tasks inline on the calling thread. In service mode
-    // this keeps point queries off the shared queues entirely — their
-    // single morsel runs on the session's own control thread at zero
-    // scheduling latency — but a multi-morsel stage always goes through
-    // the shared scheduler, whatever its size, so the worker cap and
-    // round-robin fairness hold.
-    for (int m = 0; m < num_morsels && status.ok(); m++) status = task(m);
-  } else {
-    // The scheduler drains query queues round-robin, so between any two
-    // of our morsels every peer query (in service mode) gets a turn.
-    std::vector<std::future<Status>> futures;
-    futures.reserve(num_morsels);
-    for (int m = 0; m < num_morsels; m++) {
-      futures.push_back(driver->scheduler_->Submit(
-          driver->query_slot_, [&task, m] { return task(m); }));
-    }
-    // Join every task before surfacing the first error — peers share the
-    // output slots. (Also a breaker-barrier cancellation point: the
-    // post-join CheckAlive below turns "every task bailed at its start"
-    // into a crisp kCancelled for the whole stage.)
-    obs::TraceSpan barrier("stage_barrier", stage_id);
-    for (auto& f : futures) {
-      Status s = f.get();
-      if (status.ok() && !s.ok()) status = s;
-    }
-  }
-  if (status.ok()) status = CheckAlive(state->ctx);
-  PHOTON_RETURN_NOT_OK(status);
-
-  info->num_tasks = std::min(workers, num_morsels);
-  int64_t wall = NowNs() - t0;
-  if (profile != nullptr) {
-    stage_set->Add(obs::Metric::kWallNs, wall);
-    info->m = profile->StageSnapshot(stage_id);
-  } else {
-    info->m[obs::Metric::kWallNs] = wall;
-  }
+  PHOTON_RETURN_NOT_OK(RunTasks(state, stage_id, num_morsels, task));
+  FinishStage(state, num_morsels, t0, info);
   return slots;
 }
 
-Result<Table> Driver::RunFragment(const plan::PlanPtr& node, RunState* state,
-                                  int parent_node) {
+Result<JoinBuildPtr> Driver::RunJoinBuild(const plan::PlanNode& join,
+                                          Parts inputs, RunState* state) {
+  StageInfo info;
+  info.stage_id = state->next_stage_id++;
+  int64_t t0 = NowNs();
+  obs::TraceSpan span("join_build", info.stage_id);
+  int64_t rows = 0;
+  for (const std::unique_ptr<Table>& t : inputs) rows += t->num_rows();
+  const bool partitioned =
+      inputs.size() > 1 && rows >= kMinPartitionedBuildRows;
+  ExecContext build_ctx = state->ctx;
+  build_ctx.task_group = NextTaskGroup();
+  JoinBuildPtr build = JoinBuildState::Make(
+      join.children[1]->output_schema, join.right_keys,
+      partitioned ? kBuildPartitionBits : 0, build_ctx);
+
+  // Pass 1: one task per input part evaluates and hashes its keys.
+  std::vector<std::vector<HashedBuildBatch>> hashed(inputs.size());
+  PHOTON_RETURN_NOT_OK(RunTasks(
+      state, info.stage_id, static_cast<int>(inputs.size()),
+      [&](int i) -> Status {
+        PHOTON_ASSIGN_OR_RETURN(
+            hashed[i], HashBuildInput(*build, join.right_keys, *inputs[i]));
+        return Status::OK();
+      }));
+  // Pass 2: one task per sub-table inserts its rows in input order, so
+  // every key's chain is the one a serial build makes.
+  PHOTON_RETURN_NOT_OK(RunTasks(
+      state, info.stage_id, build->num_partitions(),
+      [&](int p) { return InsertBuildPartition(build.get(), p, hashed); }));
+  if (state->profile != nullptr) {
+    state->profile->StageSet(info.stage_id)
+        ->Add(obs::Metric::kRowsOut, build->build_rows.load());
+  }
+  FinishStage(state, build->num_partitions(), t0, &info);
+  return build;
+}
+
+Result<Driver::Parts> Driver::RunFragment(const plan::PlanPtr& node,
+                                          RunState* state, int parent_node) {
   PHOTON_ASSIGN_OR_RETURN(StagedFragment frag, PrepareFragment(node, state));
   if (state->profile != nullptr) {
     state->profile->SetParent(frag.top_node_id, parent_node);
@@ -574,20 +655,11 @@ Result<Table> Driver::RunFragment(const plan::PlanPtr& node, RunState* state,
   WrapFn identity = [](OperatorPtr op, const ExecContext&) {
     return Result<OperatorPtr>(std::move(op));
   };
-  PHOTON_ASSIGN_OR_RETURN(auto outputs,
-                          RunMorselStage(frag, state, identity, -1, &info));
-  if (state->stages != nullptr) state->stages->push_back(info);
-  // One morsel (always, for RunSingleTask): its output is already compact.
-  if (outputs.size() == 1) return std::move(*outputs[0]);
-  Table out(node->output_schema);
-  for (auto& t : outputs) {
-    if (t != nullptr) AppendTable(*t, &out);
-  }
-  return out;
+  return RunMorselStage(frag, state, identity, -1, &info);
 }
 
-Result<Table> Driver::RunAggregate(const plan::PlanPtr& node,
-                                   RunState* state, int parent_node) {
+Result<Driver::Parts> Driver::RunAggregate(const plan::PlanPtr& node,
+                                           RunState* state, int parent_node) {
   // Pre-project non-trivial aggregate arguments (DESIGN.md §12): the
   // inserted Project joins the input fragment, where it fuses with the
   // scan-side filter chain; the aggregate then reads plain column refs.
@@ -622,15 +694,12 @@ Result<Table> Driver::RunAggregate(const plan::PlanPtr& node,
           std::move(op), keys, node->key_names, aggs, task_ctx,
           AggMode::kComplete)));
     };
-    PHOTON_ASSIGN_OR_RETURN(auto outputs,
-                            RunMorselStage(frag, state, wrap, agg_id, &info));
-    if (state->stages != nullptr) state->stages->push_back(info);
-    return std::move(*outputs[0]);
+    return RunMorselStage(frag, state, wrap, agg_id, &info);
   }
 
   // Partial stage: one exact partial aggregate per morsel, emitting
-  // serialized (key, state) blobs; the profile mirrors the physical shape
-  // as Final <- Partial <- input chain.
+  // serialized (key, state) blobs split into hash partitions; the profile
+  // mirrors the physical shape as Final <- Partial <- input chain.
   int final_id = -1;
   int partial_id = -1;
   if (profile != nullptr) {
@@ -643,49 +712,71 @@ Result<Table> Driver::RunAggregate(const plan::PlanPtr& node,
         std::move(op), keys, node->key_names, aggs, task_ctx,
         AggMode::kPartial)));
   };
-  PHOTON_ASSIGN_OR_RETURN(auto outputs,
+  PHOTON_ASSIGN_OR_RETURN(Parts outputs,
                           RunMorselStage(frag, state, wrap, partial_id, &info));
-  if (state->stages != nullptr) state->stages->push_back(info);
 
-  // Merge stage: a single task merges every partial's states. Blobs are
-  // concatenated in morsel order, so the merge input — and the output
-  // order — is independent of the thread count.
+  // Merge stage: one task per non-empty hash partition (a scalar
+  // aggregate has one). Each task merges its partition's blobs in morsel
+  // order, and the outputs stay in partition order, so the merge input —
+  // and the output rows and order — are independent of the thread count.
   int64_t t0 = NowNs();
   StageInfo merge_info;
   merge_info.stage_id = state->next_stage_id++;
-  Table blobs(HashAggregateOperator::PartialOutputSchema());
-  for (auto& t : outputs) {
-    if (t != nullptr) AppendTable(*t, &blobs);
+  std::vector<Table> blobs;
+  for (int p = 0; p < HashAggregateOperator::kMergePartitions; p++) {
+    blobs.emplace_back(HashAggregateOperator::PartialOutputSchema());
   }
-  ExecContext merge_ctx = state->ctx;
-  merge_ctx.task_group = NextTaskGroup();
-  merge_ctx.spill_prefix = state->ctx.spill_prefix + "/s" +
-                           std::to_string(info.stage_id) + "-merge";
-  HashAggregateOperator merge(OperatorPtr(new InMemoryScanOperator(&blobs)),
-                              keys, node->key_names, aggs, merge_ctx,
-                              AggMode::kFinalMerge);
-  Result<Table> out = CollectAll(&merge, state->ctx.control);
-  if (profile != nullptr) {
-    profile->SetStage(final_id, merge_info.stage_id);
-    merge.PublishMetrics();
-    profile->TaskShard(final_id, profile->NewTaskId())
-        ->MergeFrom(merge.op_metrics());
-    obs::MetricSet* stage_set = profile->StageSet(merge_info.stage_id);
-    stage_set->MergeResourceFrom(merge.op_metrics());
-    stage_set->Add(obs::Metric::kWallNs, NowNs() - t0);
-    if (out.ok()) {
-      stage_set->Add(obs::Metric::kRowsOut, out->num_rows());
-      stage_set->Add(obs::Metric::kBatches, out->num_batches());
+  for (std::unique_ptr<Table>& t : outputs) {
+    for (std::unique_ptr<ColumnBatch>& b : t->ReleaseBatches()) {
+      if (b->num_active() == 0) continue;
+      // A partial's output batch holds the blobs of one partition.
+      int p = b->column(0)->data<int32_t>()[b->ActiveRow(0)];
+      blobs[p].AppendBatch(std::move(b));
     }
-    merge_info.m = profile->StageSnapshot(merge_info.stage_id);
   }
-  merge_info.num_tasks = 1;
-  if (state->stages != nullptr) state->stages->push_back(merge_info);
-  return out;
+  std::vector<int> partitions;
+  for (int p = 0; p < HashAggregateOperator::kMergePartitions; p++) {
+    if (blobs[p].num_batches() > 0) partitions.push_back(p);
+  }
+  obs::MetricSet* stage_set =
+      profile != nullptr ? profile->StageSet(merge_info.stage_id) : nullptr;
+  if (profile != nullptr) profile->SetStage(final_id, merge_info.stage_id);
+  Parts merged(partitions.size());
+  auto task = [&](int i) -> Status {
+    const int p = partitions[i];
+    ExecContext task_ctx = state->ctx;
+    task_ctx.task_group = NextTaskGroup();
+    task_ctx.spill_prefix = state->ctx.spill_prefix + "/s" +
+                            std::to_string(merge_info.stage_id) + "-p" +
+                            std::to_string(p);
+    HashAggregateOperator merge(
+        OperatorPtr(new InMemoryScanOperator(&blobs[p])), keys,
+        node->key_names, aggs, task_ctx, AggMode::kFinalMerge);
+    Result<Table> out = CollectAll(&merge, state->ctx.control);
+    if (profile != nullptr) {
+      merge.PublishMetrics();
+      profile->TaskShard(final_id, profile->NewTaskId())
+          ->MergeFrom(merge.op_metrics());
+      stage_set->MergeResourceFrom(merge.op_metrics());
+      if (out.ok()) {
+        stage_set->Add(obs::Metric::kRowsOut, out->num_rows());
+        stage_set->Add(obs::Metric::kBatches, out->num_batches());
+      }
+    }
+    PHOTON_RETURN_NOT_OK(out.status());
+    merged[i] = std::make_unique<Table>(std::move(*out));
+    return Status::OK();
+  };
+  PHOTON_RETURN_NOT_OK(RunTasks(state, merge_info.stage_id,
+                                static_cast<int>(partitions.size()), task));
+  FinishStage(state, static_cast<int>(partitions.size()), t0, &merge_info);
+  // No group at all (empty keyed input): one empty part.
+  if (merged.empty()) return OnePart(Table(node->output_schema));
+  return merged;
 }
 
-Result<Table> Driver::RunSort(const plan::PlanPtr& node, RunState* state,
-                              int parent_node) {
+Result<Driver::Parts> Driver::RunSort(const plan::PlanPtr& node,
+                                      RunState* state, int parent_node) {
   PHOTON_ASSIGN_OR_RETURN(StagedFragment frag,
                           PrepareFragment(node->children[0], state));
   const int num_morsels = static_cast<int>(
@@ -711,10 +802,9 @@ Result<Table> Driver::RunSort(const plan::PlanPtr& node, RunState* state,
     return Result<OperatorPtr>(OperatorPtr(
         new SortOperator(std::move(op), node->sort_keys, task_ctx)));
   };
-  PHOTON_ASSIGN_OR_RETURN(auto outputs,
+  PHOTON_ASSIGN_OR_RETURN(Parts outputs,
                           RunMorselStage(frag, state, wrap, sort_id, &info));
-  if (state->stages != nullptr) state->stages->push_back(info);
-  if (outputs.size() == 1) return std::move(*outputs[0]);
+  if (outputs.size() == 1) return outputs;
 
   // Merge stage: deterministic k-way merge of the runs (ties resolve to
   // the lowest morsel index).
@@ -726,9 +816,8 @@ Result<Table> Driver::RunSort(const plan::PlanPtr& node, RunState* state,
   PHOTON_RETURN_NOT_OK(CheckAlive(state->ctx));
   std::vector<Table*> runs;
   runs.reserve(outputs.size());
-  for (auto& t : outputs) {
-    if (t != nullptr) runs.push_back(t.get());
-  }
+  for (auto& t : outputs) runs.push_back(t.get());
+  int64_t cpu0 = profile != nullptr ? obs::ThreadCpuNs() : 0;
   Result<Table> merged = MergeSortedRuns(runs, node->sort_keys,
                                          node->output_schema,
                                          state->ctx.batch_size);
@@ -740,18 +829,17 @@ Result<Table> Driver::RunSort(const plan::PlanPtr& node, RunState* state,
         profile->TaskShard(sort_merge_id, profile->NewTaskId());
     shard->Add(obs::Metric::kWallNs, NowNs() - t0);
     obs::MetricSet* stage_set = profile->StageSet(merge_info.stage_id);
-    stage_set->Add(obs::Metric::kWallNs, NowNs() - t0);
+    stage_set->Add(obs::Metric::kCpuNs, obs::ThreadCpuNs() - cpu0);
     if (merged.ok()) {
       shard->Add(obs::Metric::kRowsOut, merged->num_rows());
       shard->Add(obs::Metric::kBatches, merged->num_batches());
       stage_set->Add(obs::Metric::kRowsOut, merged->num_rows());
       stage_set->Add(obs::Metric::kBatches, merged->num_batches());
     }
-    merge_info.m = profile->StageSnapshot(merge_info.stage_id);
   }
-  merge_info.num_tasks = 1;
-  if (state->stages != nullptr) state->stages->push_back(merge_info);
-  return merged;
+  PHOTON_RETURN_NOT_OK(merged.status());
+  FinishStage(state, 1, t0, &merge_info);
+  return OnePart(std::move(*merged));
 }
 
 }  // namespace exec

@@ -12,6 +12,7 @@
 #include "exec/task_scheduler.h"
 #include "exec/thread_pool.h"
 #include "obs/profile.h"
+#include "ops/hash_join.h"
 #include "plan/logical_plan.h"
 #include "plan/stage_planner.h"
 
@@ -84,14 +85,23 @@ class Driver {
   /// stages at pipeline breakers (stage_planner.h); each stage's input is
   /// split into morsels — fixed-size table batch ranges, or file ranges
   /// for lakehouse scans — and each morsel is one task on the scheduler.
-  /// Pipeline breakers execute parallelism-aware:
-  ///   - aggregates run one partial aggregate per morsel and a final
-  ///     merge stage over the serialized states (exact for every kind);
-  ///   - joins build their hash table once and probe it from all tasks;
+  /// Pipeline breakers execute parallelism-aware, each as a stage of
+  /// scheduler tasks:
+  ///   - aggregates run one partial aggregate per morsel, whose
+  ///     serialized states are split into hash partitions, then a final
+  ///     merge stage with one task per non-empty partition (exact for
+  ///     every kind; a scalar aggregate has one partition);
+  ///   - joins build once and probe from all tasks: the build stage
+  ///     hashes the build side's per-task outputs, then inserts one hash
+  ///     partition per task into its own sub-table (one table for small
+  ///     builds), keeping every key's match chain in input order;
   ///   - sorts produce one sorted run per morsel, k-way merged at the
   ///     stage boundary.
-  /// The morsel decomposition depends only on the input, so the result
-  /// table (rows *and* row order) is identical for every thread count.
+  /// The morsel decomposition and the partition counts depend only on the
+  /// input, each merge partition merges its blobs in morsel order, and
+  /// stage outputs are joined in task order, so the result table (rows
+  /// *and* row order) is identical for every thread count, and join
+  /// output is exactly that of a single build table.
   ///
   /// Observability: when `stages` is non-null one StageInfo per executed
   /// stage is appended in completion order; when `profile` is non-null it
@@ -130,6 +140,10 @@ class Driver {
   /// (operator, profile node) pairs harvested into task shards after a
   /// morsel chain is drained.
   using Harvest = std::vector<std::pair<Operator*, int>>;
+  /// A node's output as its last stage left it: one table per task, in
+  /// task (morsel or merge-partition) order. Consumers that need one
+  /// table concatenate; a join build reads the parts directly.
+  using Parts = std::vector<std::unique_ptr<Table>>;
 
   /// The one execution path behind Run (`driver` = this) and
   /// RunSingleTask (`driver` null).
@@ -137,13 +151,13 @@ class Driver {
                                std::vector<StageInfo>* stages,
                                obs::QueryProfile* profile,
                                const Driver* driver);
-  static Result<Table> RunNode(const plan::PlanPtr& node, RunState* state,
+  static Result<Parts> RunNode(const plan::PlanPtr& node, RunState* state,
                                int parent_node);
-  static Result<Table> RunFragment(const plan::PlanPtr& node,
+  static Result<Parts> RunFragment(const plan::PlanPtr& node,
                                    RunState* state, int parent_node);
-  static Result<Table> RunAggregate(const plan::PlanPtr& node,
+  static Result<Parts> RunAggregate(const plan::PlanPtr& node,
                                     RunState* state, int parent_node);
-  static Result<Table> RunSort(const plan::PlanPtr& node, RunState* state,
+  static Result<Parts> RunSort(const plan::PlanPtr& node, RunState* state,
                                int parent_node);
   static Result<StagedFragment> PrepareFragment(const plan::PlanPtr& root,
                                                 RunState* state);
@@ -151,9 +165,25 @@ class Driver {
                                                  Morsel morsel,
                                                  const ExecContext& task_ctx,
                                                  Harvest* harvest);
-  static Result<std::vector<std::unique_ptr<Table>>> RunMorselStage(
-      const StagedFragment& frag, RunState* state, const WrapFn& wrap,
-      int wrap_node_id, StageInfo* info);
+  static Result<Parts> RunMorselStage(const StagedFragment& frag,
+                                      RunState* state, const WrapFn& wrap,
+                                      int wrap_node_id, StageInfo* info);
+  /// The build stage of an in-fragment join: hashes the build side's
+  /// parts (one task each), then fills the shared build state one hash
+  /// partition per task.
+  static Result<JoinBuildPtr> RunJoinBuild(const plan::PlanNode& join,
+                                           Parts inputs, RunState* state);
+  /// The one task loop behind every stage: runs task(0..num_tasks) inline
+  /// when there is one task or the standalone driver has one worker, else
+  /// one scheduler task each on this driver's queue. Joins every task
+  /// before returning the first error; task starts and the barrier are
+  /// cancellation points. Adds each task's CPU time to the stage's set.
+  static Status RunTasks(RunState* state, int stage_id, int num_tasks,
+                         const std::function<Status(int)>& task);
+  /// Closes a stage that ran `num_tasks` tasks since `t0`: fills `info`
+  /// and appends it to the run's stage list.
+  static void FinishStage(RunState* state, int num_tasks, int64_t t0,
+                          StageInfo* info);
 
   /// Set by the standalone constructor only.
   std::unique_ptr<TaskScheduler> owned_scheduler_;

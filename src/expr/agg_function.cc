@@ -143,11 +143,24 @@ class SumAgg : public AggregateFunction {
       return;
     }
     if constexpr (std::is_same_v<AccT, int128_t>) {
-      // Decimal sum/avg finalize through BigDecimal exactly like the row
-      // engine's SumDecimalState: a sum (or avg quotient) beyond the
-      // 38-digit cap is NULL, not a wrapped int128. The exact sum is
-      // wraps * 2^128 + sum; 2^128 exceeds int128 so it is composed as
-      // (2^64)^2, putting arg_scale on one factor only.
+      // Decimal sum/avg finalize exactly like the row engine's
+      // SumDecimalState: a sum (or avg quotient) beyond the 38-digit cap
+      // is NULL, not a wrapped int128. A sum that never wrapped finalizes
+      // in int128; BigDecimal only takes the rest.
+      int128_t narrow = 0;
+      bool is_null = false;
+      if (s->wraps == 0 &&
+          FinalizeNarrow(s->sum, s->count, &narrow, &is_null)) {
+        if (is_null) {
+          out->SetNull(row);
+        } else {
+          out->SetNotNull(row);
+          out->data<int128_t>()[row] = narrow;
+        }
+        return;
+      }
+      // The exact sum is wraps * 2^128 + sum; 2^128 exceeds int128 so it
+      // is composed as (2^64)^2, putting arg_scale on one factor only.
       int arg_scale = result_.scale() - avg_shift_;
       BigDecimal sum = BigDecimal::FromDecimal128(Decimal128(s->sum),
                                                   arg_scale);
@@ -214,6 +227,34 @@ class SumAgg : public AggregateFunction {
   }
 
  private:
+  /// Finalizes a sum that did not wrap in int128: the sum itself, or the
+  /// avg quotient sum * 10^avg_shift / count rounded HALF_UP (half away
+  /// from zero), as BigDecimal's Divide rounds. `*is_null` = beyond 38
+  /// digits. Returns false when the multiply overflows 128 bits (the
+  /// caller then takes the BigDecimal path).
+  bool FinalizeNarrow(int128_t sum, int64_t count, int128_t* out,
+                      bool* is_null) const {
+    uint128_t mag = sum < 0 ? -static_cast<uint128_t>(sum)
+                            : static_cast<uint128_t>(sum);
+    if (is_avg_) {
+      uint128_t scaled = 0;
+      if (__builtin_mul_overflow(
+              mag, static_cast<uint128_t>(Decimal128::PowerOfTen(avg_shift_)),
+              &scaled)) {
+        return false;
+      }
+      const uint128_t divisor = static_cast<uint128_t>(count);
+      const uint128_t rem = scaled % divisor;
+      mag = scaled / divisor + (rem >= divisor - rem ? 1 : 0);
+    }
+    *is_null =
+        mag > static_cast<uint128_t>(Decimal128::MaxValueForPrecision(38));
+    if (!*is_null) {
+      *out = sum < 0 ? -static_cast<int128_t>(mag) : static_cast<int128_t>(mag);
+    }
+    return true;
+  }
+
   DataType result_;
   bool is_avg_;
   int avg_shift_;  // 10^shift applied before dividing (decimal avg)

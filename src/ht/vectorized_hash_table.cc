@@ -283,15 +283,17 @@ void VectorizedHashTable::Lookup(const std::vector<const ColumnVector*>& keys,
 
 void VectorizedHashTable::Lookup(const std::vector<const ColumnVector*>& keys,
                                  const ColumnBatch& batch,
-                                 const uint64_t* hashes, uint8_t** entries_out,
+                                 const uint64_t* hashes, const int32_t* sel,
+                                 int n, uint8_t** entries_out,
                                  ProbeScratch* scratch) const {
-  int n = batch.num_active();
   // Remaining: dense indices (into the active set) still probing.
   scratch->remaining.resize(n);
-  scratch->steps.assign(n, 0);
+  scratch->steps.resize(batch.num_active());
   int num_remaining = 0;
-  for (int i = 0; i < n; i++) {
+  for (int j = 0; j < n; j++) {
+    int i = sel != nullptr ? sel[j] : j;
     entries_out[i] = nullptr;
+    scratch->steps[i] = 0;
     int row = batch.ActiveRow(i);
     if (!match_null_keys_) {
       bool any_null = false;
@@ -334,12 +336,13 @@ void VectorizedHashTable::Lookup(const std::vector<const ColumnVector*>& keys,
 
 Status VectorizedHashTable::LookupOrInsert(
     const std::vector<const ColumnVector*>& keys, const ColumnBatch& batch,
-    const uint64_t* hashes, uint8_t** entries_out, bool* inserted_out) {
-  int n = batch.num_active();
+    const uint64_t* hashes, const int32_t* sel, int n, uint8_t** entries_out,
+    bool* inserted_out) {
   // Insertion must be sequential w.r.t. duplicate keys within the batch, so
   // resolve rows in order, but the fast path (found or empty at step 0) is
   // still the common case and stays batched via Lookup semantics.
-  for (int i = 0; i < n; i++) {
+  for (int j = 0; j < n; j++) {
+    int i = sel != nullptr ? sel[j] : j;
     entries_out[i] = nullptr;
     inserted_out[i] = false;
   }
@@ -351,7 +354,8 @@ Status VectorizedHashTable::LookupOrInsert(
     Grow();
   }
 
-  for (int i = 0; i < n; i++) {
+  for (int j = 0; j < n; j++) {
+    int i = sel != nullptr ? sel[j] : j;
     int row = batch.ActiveRow(i);
     if (!match_null_keys_) {
       bool any_null = false;

@@ -68,7 +68,19 @@ class VectorizedHashTable {
   /// concurrently as long as no thread mutates the table.
   void Lookup(const std::vector<const ColumnVector*>& keys,
               const ColumnBatch& batch, const uint64_t* hashes,
-              uint8_t** entries_out, ProbeScratch* scratch) const;
+              uint8_t** entries_out, ProbeScratch* scratch) const {
+    Lookup(keys, batch, hashes, nullptr, batch.num_active(), entries_out,
+           scratch);
+  }
+
+  /// The same probe over an explicit row list: only the active-set
+  /// indices `sel[0..n)` are looked up (reading hashes[sel[j]], writing
+  /// entries_out[sel[j]]); `sel == nullptr` means all n active rows. A
+  /// partitioned join probes each sub-table with its share of a batch.
+  void Lookup(const std::vector<const ColumnVector*>& keys,
+              const ColumnBatch& batch, const uint64_t* hashes,
+              const int32_t* sel, int n, uint8_t** entries_out,
+              ProbeScratch* scratch) const;
 
   /// Finds or creates the entry for each active row. `inserted_out[i]` is
   /// true when a new entry was created (payload must then be initialized by
@@ -76,7 +88,17 @@ class VectorizedHashTable {
   /// `match_null_keys` is false.
   Status LookupOrInsert(const std::vector<const ColumnVector*>& keys,
                         const ColumnBatch& batch, const uint64_t* hashes,
-                        uint8_t** entries_out, bool* inserted_out);
+                        uint8_t** entries_out, bool* inserted_out) {
+    return LookupOrInsert(keys, batch, hashes, nullptr, batch.num_active(),
+                          entries_out, inserted_out);
+  }
+
+  /// LookupOrInsert over an explicit row list, indexed like the
+  /// row-list Lookup. Rows are resolved in list order.
+  Status LookupOrInsert(const std::vector<const ColumnVector*>& keys,
+                        const ColumnBatch& batch, const uint64_t* hashes,
+                        const int32_t* sel, int n, uint8_t** entries_out,
+                        bool* inserted_out);
 
   /// Inserts a duplicate-key entry chained behind `head` (hash join
   /// builds). Keys are copied from the head entry; returns the new entry
@@ -127,6 +149,15 @@ class VectorizedHashTable {
     uint64_t h;
     std::memcpy(&h, entry, sizeof(h));
     return h;
+  }
+
+  /// The one hash-partitioning rule, shared by spill files, partitioned
+  /// aggregate merges and partitioned join builds: the `bits` hash bits
+  /// below the top `skip` bits (1 <= bits, skip + bits <= 64). Buckets
+  /// take the low bits, so one partition's entries still spread over
+  /// every bucket of the table they are loaded into.
+  static int HashPartition(uint64_t hash, int bits, int skip = 0) {
+    return static_cast<int>((hash << skip) >> (64 - bits));
   }
 
   /// Statistics for metrics/observability.

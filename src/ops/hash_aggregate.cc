@@ -135,6 +135,7 @@ Schema HashAggregateOperator::MakeOutputSchema(
 
 Schema HashAggregateOperator::PartialOutputSchema() {
   Schema schema;
+  schema.AddField(Field("partition", DataType::Int32()));
   schema.AddField(Field("agg_state", DataType::String()));
   return schema;
 }
@@ -341,9 +342,10 @@ int64_t HashAggregateOperator::Spill(int64_t /*requested*/) {
     return 0;
   }
   std::vector<BinaryWriter> writers(kSpillPartitions);
+  const int skip = mode_ == AggMode::kFinalMerge ? kMergeBits : 0;
   table_->ForEachEntry([&](uint8_t* entry) {
-    int p = static_cast<int>(VectorizedHashTable::entry_hash(entry) %
-                             kSpillPartitions);
+    int p = VectorizedHashTable::HashPartition(
+        VectorizedHashTable::entry_hash(entry), kSpillBits, skip);
     SerializeEntry(entry, &writers[p]);
   });
   int64_t written = 0;
@@ -373,12 +375,12 @@ int64_t HashAggregateOperator::Spill(int64_t /*requested*/) {
 Status HashAggregateOperator::MergeBlobBatch(ColumnBatch* batch) {
   int n = batch->num_active();
   if (n == 0) return Status::OK();
-  PHOTON_CHECK(batch->num_columns() == 1 &&
-               batch->column(0)->type().id() == TypeId::kString);
-  const StringRef* blobs = batch->column(0)->data<StringRef>();
+  PHOTON_CHECK(batch->num_columns() == 2 &&
+               batch->column(1)->type().id() == TypeId::kString);
+  const StringRef* blobs = batch->column(1)->data<StringRef>();
   for (int i = 0; i < n; i++) {
     int row = batch->ActiveRow(i);
-    if (batch->column(0)->IsNull(row)) continue;
+    if (batch->column(1)->IsNull(row)) continue;
     StringRef blob = blobs[row];
     std::string_view bytes(blob.data, static_cast<size_t>(blob.len));
     if (scalar_mode_) {
@@ -494,7 +496,8 @@ ColumnBatch* HashAggregateOperator::EmitFromTable() {
 Result<ColumnBatch*> HashAggregateOperator::EmitPartial() {
   // Each output row is one blob of serialized (key, state) entries — the
   // same wire format as the spill files, so spilled partial state is
-  // streamed out raw without being re-merged in memory.
+  // streamed out raw without being re-merged in memory. A blob, and an
+  // output batch, never spans two merge partitions.
   constexpr int kEntriesPerBlob = 512;
   if (out_ == nullptr) {
     out_ = std::make_unique<ColumnBatch>(output_schema_,
@@ -503,52 +506,78 @@ Result<ColumnBatch*> HashAggregateOperator::EmitPartial() {
   if (!partial_prepared_) {
     partial_prepared_ = true;
     if (!scalar_mode_ && spill_seq_ > 0) {
-      for (const auto& keys : spill_keys_) {
-        for (const std::string& key : keys) {
-          partial_spill_stream_.push_back(key);
+      for (int p = 0; p < kSpillPartitions; p++) {
+        for (const std::string& key : spill_keys_[p]) {
+          partial_spill_stream_.emplace_back(p >> (kSpillBits - kMergeBits),
+                                             key);
         }
       }
+    } else if (!scalar_mode_) {
+      // Group the entries by merge partition, table order within each.
+      auto part_of = [](const uint8_t* entry) {
+        return VectorizedHashTable::HashPartition(
+            VectorizedHashTable::entry_hash(entry), kMergeBits);
+      };
+      part_begin_.assign(kMergePartitions + 1, 0);
+      for (const uint8_t* e : emit_entries_) part_begin_[part_of(e) + 1]++;
+      for (int p = 0; p < kMergePartitions; p++) {
+        part_begin_[p + 1] += part_begin_[p];
+      }
+      std::vector<size_t> fill(part_begin_.begin(), part_begin_.end() - 1);
+      std::vector<uint8_t*> grouped(emit_entries_.size());
+      for (uint8_t* e : emit_entries_) grouped[fill[part_of(e)]++] = e;
+      emit_entries_.swap(grouped);
+      emit_pos_ = 0;
+      emit_part_ = 0;
     }
   }
   out_->Reset();
-  ColumnVector* col = out_->column(0);
+  ColumnVector* part_col = out_->column(0);
+  ColumnVector* blob_col = out_->column(1);
   int out_row = 0;
-  while (out_row < out_->capacity()) {
-    if (scalar_mode_) {
-      if (scalar_emitted_) break;
+  auto add_blob = [&](int part, const std::string& bytes) {
+    part_col->SetNotNull(out_row);
+    part_col->data<int32_t>()[out_row] = part;
+    blob_col->SetNotNull(out_row);
+    blob_col->SetString(out_row, bytes);
+    out_row++;
+  };
+  if (scalar_mode_) {
+    if (!scalar_emitted_) {
       scalar_emitted_ = true;
       BinaryWriter writer;
       for (size_t j = 0; j < aggs_.size(); j++) {
         aggs_[j]->Serialize(scalar_state_.data() + agg_state_offsets_[j],
                             &writer);
       }
-      col->SetNotNull(out_row);
-      col->SetString(out_row, writer.ToString());
-      out_row++;
-      break;
+      add_blob(0, writer.ToString());
     }
-    if (spill_seq_ > 0) {
-      if (partial_spill_pos_ >= partial_spill_stream_.size()) break;
-      PHOTON_ASSIGN_OR_RETURN(
-          std::string bytes,
-          ObjectStore::Default().Get(
-              partial_spill_stream_[partial_spill_pos_++]));
-      col->SetNotNull(out_row);
-      col->SetString(out_row, bytes);
-      out_row++;
-      continue;
+  } else if (spill_seq_ > 0) {
+    while (out_row < out_->capacity() &&
+           partial_spill_pos_ < partial_spill_stream_.size()) {
+      const auto& [part, key] = partial_spill_stream_[partial_spill_pos_];
+      if (out_row > 0 && part != part_col->data<int32_t>()[0]) break;
+      PHOTON_ASSIGN_OR_RETURN(std::string bytes,
+                              ObjectStore::Default().Get(key));
+      add_blob(part, bytes);
+      partial_spill_pos_++;
     }
-    if (emit_pos_ >= emit_entries_.size()) break;
-    int count = static_cast<int>(std::min<size_t>(
-        kEntriesPerBlob, emit_entries_.size() - emit_pos_));
-    BinaryWriter writer;
-    for (int i = 0; i < count; i++) {
-      SerializeEntry(emit_entries_[emit_pos_ + i], &writer);
+  } else {
+    while (emit_part_ < kMergePartitions &&
+           emit_pos_ == part_begin_[emit_part_ + 1]) {
+      emit_part_++;
     }
-    emit_pos_ += count;
-    col->SetNotNull(out_row);
-    col->SetString(out_row, writer.ToString());
-    out_row++;
+    while (emit_part_ < kMergePartitions && out_row < out_->capacity() &&
+           emit_pos_ < part_begin_[emit_part_ + 1]) {
+      size_t end = std::min(part_begin_[emit_part_ + 1],
+                            emit_pos_ + kEntriesPerBlob);
+      BinaryWriter writer;
+      for (size_t i = emit_pos_; i < end; i++) {
+        SerializeEntry(emit_entries_[i], &writer);
+      }
+      emit_pos_ = end;
+      add_blob(emit_part_, writer.ToString());
+    }
   }
   if (out_row == 0) return nullptr;
   out_->set_num_rows(out_row);

@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "expr/agg_function.h"
@@ -26,10 +27,14 @@ struct AggregateSpec {
 ///   kComplete   — classic single-pass aggregate: raw input in, final
 ///                 values out.
 ///   kPartial    — per-task half: raw input in, serialized (key, state)
-///                 blobs out (one String column, same wire format as the
-///                 spill files), exact for every aggregate kind.
+///                 blobs out (same wire format as the spill files), exact
+///                 for every aggregate kind. Each blob holds the entries of
+///                 one merge partition (HashPartition of the key hash into
+///                 kMergePartitions), and each output batch the blobs of
+///                 one partition, tagged in a leading Int32 column.
 ///   kFinalMerge — merge half: blob rows in (from any number of partial
-///                 tasks), final values out.
+///                 tasks, typically all of one merge partition), final
+///                 values out.
 enum class AggMode : uint8_t { kComplete, kPartial, kFinalMerge };
 
 /// Vectorized grouping aggregation over the vectorized hash table (§4.4,
@@ -52,7 +57,13 @@ class HashAggregateOperator : public Operator, public MemoryConsumer {
                         AggMode mode = AggMode::kComplete);
   ~HashAggregateOperator() override;
 
-  /// Output schema of a kPartial aggregate: one String blob column.
+  /// Hash partitions of the partial output: the parallel driver merges
+  /// each in its own task. A constant, so the merge's tasks (and output
+  /// order) never depend on the thread count.
+  static constexpr int kMergeBits = 3;
+  static constexpr int kMergePartitions = 1 << kMergeBits;
+
+  /// Output schema of a kPartial aggregate: (partition Int32, blob String).
   static Schema PartialOutputSchema();
 
   Status Open() override;
@@ -73,7 +84,13 @@ class HashAggregateOperator : public Operator, public MemoryConsumer {
   void PublishMetricsImpl() override;
 
  private:
-  static constexpr int kSpillPartitions = 16;
+  // Spill partitions refine the merge partitions: kPartial/kComplete spill
+  // on the top kSpillBits hash bits, so each spill file lies within one
+  // merge partition; a kFinalMerge, whose input is one merge partition
+  // already, spills on the bits below kMergeBits.
+  static constexpr int kSpillBits = 4;
+  static constexpr int kSpillPartitions = 1 << kSpillBits;
+  static_assert(kSpillBits >= kMergeBits);
 
   static Schema MakeOutputSchema(const std::vector<ExprPtr>& keys,
                                  const std::vector<std::string>& key_names,
@@ -123,9 +140,13 @@ class HashAggregateOperator : public Operator, public MemoryConsumer {
   int current_spill_partition_ = -1;
   int64_t reserved_for_data_ = 0;
 
-  // kPartial emission state: spilled blocks are streamed out raw (they
+  // kPartial emission state: in-memory entries grouped by merge
+  // partition (emit_entries_[part_begin_[p], part_begin_[p+1])), and
+  // spilled blocks with their merge partitions, streamed out raw (they
   // already hold serialized entries in the blob wire format).
-  std::vector<std::string> partial_spill_stream_;
+  std::vector<size_t> part_begin_;
+  int emit_part_ = 0;
+  std::vector<std::pair<int, std::string>> partial_spill_stream_;
   size_t partial_spill_pos_ = 0;
   bool partial_prepared_ = false;
 

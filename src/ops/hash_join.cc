@@ -1,5 +1,6 @@
 #include "ops/hash_join.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace photon {
@@ -20,11 +21,12 @@ int ComputePayloadLayout(const Schema& build_schema,
   return offset;
 }
 
-void WriteBuildPayload(JoinBuildState* state, const ColumnBatch& batch,
+void WriteBuildPayload(const JoinBuildState& state,
+                       VectorizedHashTable* table, const ColumnBatch& batch,
                        int row, uint8_t* entry) {
-  uint8_t* payload = state->table->payload(entry);
-  for (int c = 0; c < state->build_schema.num_fields(); c++) {
-    uint8_t* slot = payload + state->payload_offsets[c];
+  uint8_t* payload = table->payload(entry);
+  for (int c = 0; c < state.build_schema.num_fields(); c++) {
+    uint8_t* slot = payload + state.payload_offsets[c];
     const ColumnVector& col = *batch.column(c);
     if (col.IsNull(row)) {
       *slot = 1;
@@ -52,7 +54,7 @@ void WriteBuildPayload(JoinBuildState* state, const ColumnBatch& batch,
         break;
       case TypeId::kString: {
         StringRef s = col.data<StringRef>()[row];
-        StringRef owned = state->table->string_arena()->AddString(s);
+        StringRef owned = table->string_arena()->AddString(s);
         std::memcpy(value, &owned, sizeof(owned));
         break;
       }
@@ -60,15 +62,63 @@ void WriteBuildPayload(JoinBuildState* state, const ColumnBatch& batch,
   }
 }
 
-/// Drains `build_child` (already open) into `state`'s table, reserving
-/// memory on `state` as it grows.
-Status BuildInto(JoinBuildState* state, Operator* build_child,
-                 const std::vector<ExprPtr>& build_keys,
-                 const ExecContext& exec_ctx) {
-  std::vector<uint64_t> hashes;
+/// Reservation phase before growing the table by `rows` entries (§5.3).
+Status ReserveBuildRows(JoinBuildState* state, int rows) {
+  if (state->memory_manager == nullptr) return Status::OK();
+  return state->memory_manager->Reserve(
+      state, static_cast<int64_t>(rows) * (state->payload_bytes + 96));
+}
+
+/// Per-task scratch of the insert loop.
+struct InsertScratch {
   std::vector<uint8_t*> entries;
   std::unique_ptr<bool[]> inserted;
-  int inserted_capacity = 0;
+  int capacity = 0;
+
+  void Resize(int n) {
+    entries.resize(n);
+    if (capacity < n) {
+      inserted = std::make_unique<bool[]>(n);
+      capacity = n;
+    }
+  }
+};
+
+/// Inserts the active-set indices `sel[0..n)` of `batch` (keys
+/// `key_vecs` over `key_batch`, whose active set matches the batch's)
+/// into `table`: the first row of a key heads its chain, later rows are
+/// chained behind it. Returns the rows inserted.
+Result<int64_t> InsertRows(const JoinBuildState& state,
+                           VectorizedHashTable* table,
+                           const std::vector<const ColumnVector*>& key_vecs,
+                           const ColumnBatch& key_batch,
+                           const ColumnBatch& batch, const uint64_t* hashes,
+                           const int32_t* sel, int n,
+                           InsertScratch* scratch) {
+  scratch->Resize(key_batch.num_active());
+  PHOTON_RETURN_NOT_OK(table->LookupOrInsert(key_vecs, key_batch, hashes, sel,
+                                             n, scratch->entries.data(),
+                                             scratch->inserted.get()));
+  int64_t rows = 0;
+  for (int j = 0; j < n; j++) {
+    int i = sel != nullptr ? sel[j] : j;
+    uint8_t* head = scratch->entries[i];
+    if (head == nullptr) continue;  // NULL join key: never matches
+    uint8_t* target =
+        scratch->inserted[i] ? head : table->InsertChained(head);
+    WriteBuildPayload(state, table, batch, batch.ActiveRow(i), target);
+    rows++;
+  }
+  return rows;
+}
+
+/// Drains `build_child` (already open) into `state`'s single table,
+/// reserving memory on `state` as it grows.
+Status BuildInto(JoinBuildState* state, Operator* build_child,
+                 const std::vector<ExprPtr>& build_keys) {
+  VectorizedHashTable* table = state->tables[0].get();
+  std::vector<uint64_t> hashes;
+  InsertScratch scratch;
   EvalContext ctx;
 
   while (true) {
@@ -77,39 +127,39 @@ Status BuildInto(JoinBuildState* state, Operator* build_child,
     if (batch == nullptr) break;
     int n = batch->num_active();
     if (n == 0) continue;
-
-    // Reservation phase before growing the table (§5.3).
-    if (exec_ctx.memory_manager != nullptr) {
-      int64_t estimate =
-          static_cast<int64_t>(n) * (state->payload_bytes + 96);
-      PHOTON_RETURN_NOT_OK(exec_ctx.memory_manager->Reserve(state, estimate));
-      state->reserved_for_data += estimate;
-    }
-
+    PHOTON_RETURN_NOT_OK(ReserveBuildRows(state, n));
     std::vector<const ColumnVector*> key_vecs;
     for (const ExprPtr& k : build_keys) {
       PHOTON_ASSIGN_OR_RETURN(ColumnVector * v, k->Evaluate(batch, &ctx));
       key_vecs.push_back(v);
     }
     hashes.resize(n);
-    entries.resize(n);
-    if (inserted_capacity < n) {
-      inserted = std::make_unique<bool[]>(n);
-      inserted_capacity = n;
-    }
     VectorizedHashTable::HashKeys(key_vecs, *batch, hashes.data());
-    PHOTON_RETURN_NOT_OK(state->table->LookupOrInsert(
-        key_vecs, *batch, hashes.data(), entries.data(), inserted.get()));
-    for (int i = 0; i < n; i++) {
-      if (entries[i] == nullptr) continue;  // NULL join key: never matches
-      int row = batch->ActiveRow(i);
-      uint8_t* target = inserted[i] ? entries[i]
-                                    : state->table->InsertChained(entries[i]);
-      WriteBuildPayload(state, *batch, row, target);
-      state->build_rows++;
-    }
+    PHOTON_ASSIGN_OR_RETURN(
+        int64_t rows, InsertRows(*state, table, key_vecs, *batch, *batch,
+                                 hashes.data(), nullptr, n, &scratch));
+    state->build_rows += rows;
   }
   return Status::OK();
+}
+
+/// Groups the indices 0..n-1 by the sub-table of hashes[i], keeping their
+/// order within a group: group p is sel[offsets[p], offsets[p+1]).
+void GroupByPartition(const JoinBuildState& state, const uint64_t* hashes,
+                      int n, std::vector<int32_t>* sel,
+                      std::vector<int32_t>* offsets) {
+  const int parts = state.num_partitions();
+  offsets->assign(parts + 1, 0);
+  int32_t* off = offsets->data();
+  // Count into off[p + 2], so that after the prefix sum off[p + 1] is
+  // group p's start; placing then advances it to the group's end.
+  for (int i = 0; i < n; i++) {
+    const int p = state.PartitionOf(hashes[i]);
+    if (p + 2 <= parts) off[p + 2]++;
+  }
+  for (int p = 1; p < parts; p++) off[p + 1] += off[p];
+  sel->resize(n);
+  for (int i = 0; i < n; i++) (*sel)[off[state.PartitionOf(hashes[i]) + 1]++] = i;
 }
 
 }  // namespace
@@ -117,8 +167,115 @@ Status BuildInto(JoinBuildState* state, Operator* build_child,
 JoinBuildState::~JoinBuildState() {
   if (memory_manager != nullptr) {
     memory_manager->Release(this, reserved_bytes());
-    if (registered) memory_manager->UnregisterConsumer(this);
+    memory_manager->UnregisterConsumer(this);
   }
+}
+
+JoinBuildPtr JoinBuildState::Make(const Schema& build_schema,
+                                  const std::vector<ExprPtr>& build_keys,
+                                  int partition_bits,
+                                  const ExecContext& exec_ctx) {
+  auto state = std::make_shared<JoinBuildState>();
+  state->build_schema = build_schema;
+  state->payload_bytes =
+      ComputePayloadLayout(state->build_schema, &state->payload_offsets);
+  state->partition_bits = partition_bits;
+  std::vector<DataType> key_types;
+  for (const ExprPtr& k : build_keys) key_types.push_back(k->type());
+  for (int p = 0; p < (1 << partition_bits); p++) {
+    state->tables.push_back(std::make_unique<VectorizedHashTable>(
+        key_types, state->payload_bytes, /*match_null_keys=*/false));
+  }
+  if (exec_ctx.memory_manager != nullptr) {
+    state->memory_manager = exec_ctx.memory_manager;
+    BindConsumerToContext(state.get(), exec_ctx);
+    exec_ctx.memory_manager->RegisterConsumer(state.get());
+  }
+  return state;
+}
+
+int64_t JoinBuildState::memory_bytes() const {
+  int64_t bytes = 0;
+  for (const auto& t : tables) bytes += t->memory_bytes();
+  return bytes;
+}
+
+Result<std::vector<HashedBuildBatch>> HashBuildInput(
+    const JoinBuildState& state, const std::vector<ExprPtr>& build_keys,
+    const Table& input) {
+  Schema key_schema;
+  for (size_t k = 0; k < build_keys.size(); k++) {
+    key_schema.AddField(Field("k" + std::to_string(k), build_keys[k]->type()));
+  }
+  std::vector<HashedBuildBatch> out;
+  EvalContext ctx;
+  for (int b = 0; b < input.num_batches(); b++) {
+    const ColumnBatch& batch = input.batch(b);
+    const int n = batch.num_active();
+    if (n == 0) continue;
+    ctx.ResetPerBatch();
+    // Key evaluation only reads the batch (this task is its one reader
+    // until the insert pass).
+    ColumnBatch* mutable_batch = const_cast<ColumnBatch*>(&batch);
+    std::unique_ptr<ColumnBatch> view =
+        ColumnBatch::MakeView(key_schema, batch.capacity());
+    for (size_t k = 0; k < build_keys.size(); k++) {
+      PHOTON_ASSIGN_OR_RETURN(ColumnVector * v,
+                              build_keys[k]->Evaluate(mutable_batch, &ctx));
+      view->SetColumnView(static_cast<int>(k), v);
+    }
+    view->set_num_rows(batch.num_rows());
+    if (batch.all_active()) {
+      view->SetAllActive();
+    } else {
+      std::copy(batch.pos_list(), batch.pos_list() + n,
+                view->mutable_pos_list());
+      view->SetActiveRows(n);
+    }
+    HashedBuildBatch hashed;
+    hashed.batch = &batch;
+    hashed.keys = CompactBatch(*view);
+    hashed.hashes.resize(n);
+    std::vector<const ColumnVector*> key_vecs;
+    for (int k = 0; k < hashed.keys->num_columns(); k++) {
+      key_vecs.push_back(hashed.keys->column(k));
+    }
+    VectorizedHashTable::HashKeys(key_vecs, *hashed.keys,
+                                  hashed.hashes.data());
+    GroupByPartition(state, hashed.hashes.data(), n, &hashed.sel,
+                     &hashed.offsets);
+    out.push_back(std::move(hashed));
+  }
+  return out;
+}
+
+Status InsertBuildPartition(
+    JoinBuildState* state, int p,
+    const std::vector<std::vector<HashedBuildBatch>>& inputs) {
+  VectorizedHashTable* table = state->tables[p].get();
+  InsertScratch scratch;
+  std::vector<const ColumnVector*> key_vecs;
+  int64_t rows = 0;
+  for (const std::vector<HashedBuildBatch>& input : inputs) {
+    for (const HashedBuildBatch& hashed : input) {
+      const int begin = hashed.offsets[p];
+      const int n = hashed.offsets[p + 1] - begin;
+      if (n == 0) continue;
+      PHOTON_RETURN_NOT_OK(ReserveBuildRows(state, n));
+      key_vecs.clear();
+      for (int k = 0; k < hashed.keys->num_columns(); k++) {
+        key_vecs.push_back(hashed.keys->column(k));
+      }
+      PHOTON_ASSIGN_OR_RETURN(
+          int64_t inserted_rows,
+          InsertRows(*state, table, key_vecs, *hashed.keys, *hashed.batch,
+                     hashed.hashes.data(), hashed.sel.data() + begin, n,
+                     &scratch));
+      rows += inserted_rows;
+    }
+  }
+  state->build_rows += rows;
+  return Status::OK();
 }
 
 Schema HashJoinOperator::MakeOutputSchema(const Schema& build,
@@ -151,12 +308,8 @@ HashJoinOperator::HashJoinOperator(OperatorPtr build, OperatorPtr probe,
       join_type_(join_type),
       exec_ctx_(exec_ctx),
       residual_(std::move(residual)),
-      adaptive_compaction_(adaptive_compaction),
-      state_(std::make_shared<JoinBuildState>()) {
+      adaptive_compaction_(adaptive_compaction) {
   PHOTON_CHECK(build_keys_.size() == probe_keys_.size());
-  state_->build_schema = build_->output_schema();
-  state_->payload_bytes =
-      ComputePayloadLayout(state_->build_schema, &state_->payload_offsets);
 }
 
 HashJoinOperator::HashJoinOperator(JoinBuildPtr build, OperatorPtr probe,
@@ -173,51 +326,18 @@ HashJoinOperator::HashJoinOperator(JoinBuildPtr build, OperatorPtr probe,
       adaptive_compaction_(adaptive_compaction),
       state_(std::move(build)),
       built_(true) {
-  PHOTON_CHECK(state_ != nullptr && state_->table != nullptr);
+  PHOTON_CHECK(state_ != nullptr && !state_->tables.empty());
   PHOTON_CHECK(static_cast<int>(probe_keys_.size()) ==
-               state_->table->num_keys());
+               state_->tables[0]->num_keys());
 }
 
 HashJoinOperator::~HashJoinOperator() = default;
 
-Result<JoinBuildPtr> HashJoinOperator::BuildShared(
-    Operator* build_child, const std::vector<ExprPtr>& build_keys,
-    const ExecContext& exec_ctx) {
-  auto state = std::make_shared<JoinBuildState>();
-  state->build_schema = build_child->output_schema();
-  state->payload_bytes =
-      ComputePayloadLayout(state->build_schema, &state->payload_offsets);
-  std::vector<DataType> key_types;
-  for (const ExprPtr& k : build_keys) key_types.push_back(k->type());
-  state->table = std::make_unique<VectorizedHashTable>(
-      key_types, state->payload_bytes, /*match_null_keys=*/false);
-  if (exec_ctx.memory_manager != nullptr) {
-    state->memory_manager = exec_ctx.memory_manager;
-    BindConsumerToContext(state.get(), exec_ctx);
-    exec_ctx.memory_manager->RegisterConsumer(state.get());
-    state->registered = true;
-  }
-  PHOTON_RETURN_NOT_OK(build_child->Open());
-  Status build_status = BuildInto(state.get(), build_child, build_keys,
-                                  exec_ctx);
-  build_child->Close();
-  PHOTON_RETURN_NOT_OK(build_status);
-  return state;
-}
-
 Status HashJoinOperator::Open() {
   if (build_ != nullptr) {
     PHOTON_RETURN_NOT_OK(build_->Open());
-    std::vector<DataType> key_types;
-    for (const ExprPtr& k : build_keys_) key_types.push_back(k->type());
-    state_->table = std::make_unique<VectorizedHashTable>(
-        key_types, state_->payload_bytes, /*match_null_keys=*/false);
-    if (exec_ctx_.memory_manager != nullptr) {
-      state_->memory_manager = exec_ctx_.memory_manager;
-      BindConsumerToContext(state_.get(), exec_ctx_);
-      exec_ctx_.memory_manager->RegisterConsumer(state_.get());
-      state_->registered = true;
-    }
+    state_ = JoinBuildState::Make(build_->output_schema(), build_keys_,
+                                  /*partition_bits=*/0, exec_ctx_);
     built_ = false;
   }
   PHOTON_RETURN_NOT_OK(probe_->Open());
@@ -236,11 +356,9 @@ Status HashJoinOperator::Open() {
 }
 
 Status HashJoinOperator::BuildPhase() {
-  PHOTON_RETURN_NOT_OK(BuildInto(state_.get(), build_.get(), build_keys_,
-                                 exec_ctx_));
+  PHOTON_RETURN_NOT_OK(BuildInto(state_.get(), build_.get(), build_keys_));
   built_ = true;
-  stats_.SetMax(obs::Metric::kPeakReservedBytes,
-                state_->table->memory_bytes());
+  stats_.SetMax(obs::Metric::kPeakReservedBytes, state_->memory_bytes());
   return Status::OK();
 }
 
@@ -289,8 +407,7 @@ void HashJoinOperator::EmitBuildColumns(const uint8_t* entry, int out_row) {
       out->SetNull(out_row);
       continue;
     }
-    const uint8_t* slot =
-        state_->table->payload(entry) + state_->payload_offsets[c];
+    const uint8_t* slot = state_->payload(entry) + state_->payload_offsets[c];
     if (*slot) {
       out->SetNull(out_row);
       continue;
@@ -336,8 +453,7 @@ Result<bool> HashJoinOperator::ResidualMatches(const ColumnBatch& batch,
     row.push_back(batch.column(c)->GetValue(probe_row));
   }
   for (int c = 0; c < state_->build_schema.num_fields(); c++) {
-    const uint8_t* slot =
-        state_->table->payload(entry) + state_->payload_offsets[c];
+    const uint8_t* slot = state_->payload(entry) + state_->payload_offsets[c];
     if (*slot) {
       row.push_back(Value::Null());
       continue;
@@ -405,11 +521,24 @@ Status HashJoinOperator::ProbeBatch(ColumnBatch* batch) {
   hashes_.resize(n);
   match_heads_.resize(n);
   VectorizedHashTable::HashKeys(key_vecs, *batch, hashes_.data());
-  // Const probe with caller-owned scratch: the table may be shared with
-  // other tasks probing concurrently.
-  const VectorizedHashTable& table = *state_->table;
-  table.Lookup(key_vecs, *batch, hashes_.data(), match_heads_.data(),
-               &probe_scratch_);
+  // Const probes with caller-owned scratch: the tables may be shared with
+  // other tasks probing concurrently. A partitioned build is probed one
+  // sub-table at a time, each with its share of the batch's rows.
+  const JoinBuildState& build = *state_;
+  if (build.num_partitions() == 1) {
+    build.tables[0]->Lookup(key_vecs, *batch, hashes_.data(),
+                            match_heads_.data(), &probe_scratch_);
+  } else {
+    GroupByPartition(build, hashes_.data(), n, &part_sel_, &part_offsets_);
+    for (int p = 0; p < build.num_partitions(); p++) {
+      const int begin = part_offsets_[p];
+      const int count = part_offsets_[p + 1] - begin;
+      if (count == 0) continue;
+      build.tables[p]->Lookup(key_vecs, *batch, hashes_.data(),
+                              part_sel_.data() + begin, count,
+                              match_heads_.data(), &probe_scratch_);
+    }
+  }
   probe_batch_ = batch;
   probe_idx_ = 0;
   chain_entry_ = nullptr;
@@ -597,21 +726,18 @@ Result<ColumnBatch*> HashJoinOperator::GetNextImpl() {
 void HashJoinOperator::Close() {
   if (build_ != nullptr) build_->Close();
   probe_->Close();
-  if (build_ != nullptr && state_->memory_manager != nullptr &&
-      state_->reserved_bytes() > 0) {
+  if (build_ != nullptr && state_ != nullptr &&
+      state_->memory_manager != nullptr && state_->reserved_bytes() > 0) {
     // Private build: release eagerly; a shared build's reservation is
     // released when the last prober drops its reference.
     state_->memory_manager->Release(state_.get(), state_->reserved_bytes());
-    state_->reserved_for_data = 0;
   }
 }
 
 void HashJoinOperator::PublishMetricsImpl() {
   if (state_ == nullptr) return;
-  int64_t peak = state_->peak_reserved_bytes();
-  if (state_->table != nullptr && state_->table->memory_bytes() > peak) {
-    peak = state_->table->memory_bytes();
-  }
+  int64_t peak =
+      std::max(state_->peak_reserved_bytes(), state_->memory_bytes());
   stats_.SetMax(obs::Metric::kPeakReservedBytes, peak);
   if (build_ != nullptr) {
     // Private build: this operator did the reserving. (A shared build's

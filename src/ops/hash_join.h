@@ -1,6 +1,7 @@
 #ifndef PHOTON_OPS_HASH_JOIN_H_
 #define PHOTON_OPS_HASH_JOIN_H_
 
+#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
@@ -8,6 +9,7 @@
 #include "expr/expr.h"
 #include "ht/vectorized_hash_table.h"
 #include "ops/operator.h"
+#include "vector/table.h"
 
 namespace photon {
 
@@ -18,34 +20,87 @@ enum class JoinType : uint8_t {
   kLeftAnti,
 };
 
+struct JoinBuildState;
+using JoinBuildPtr = std::shared_ptr<JoinBuildState>;
+
 /// The materialized build side of a hash join: the vectorized hash table
 /// plus the payload layout used to pack build columns into entries. Built
-/// once (BuildShared / the join's own build phase) and then immutable, so
-/// any number of probe tasks can share it concurrently — the paper's
-/// broadcast-build, partition-parallel-probe shape (§2.2).
+/// once (the parallel driver's partitioned build, or a self-building
+/// join's own build phase) and then immutable, so any number of probe
+/// tasks can share it concurrently — the paper's broadcast-build,
+/// partition-parallel-probe shape (§2.2).
+///
+/// A partitioned build holds 2^partition_bits sub-tables, one per
+/// HashPartition of the key hash, each filled by its own task; a probe
+/// picks the sub-table from the hash it computed anyway. Every key's rows
+/// sit in one sub-table, inserted in input order, so each key's match
+/// chain — and with it the join output — is the one a single table gives.
 ///
 /// It is the MemoryConsumer for the build memory; joins cannot release
 /// memory mid-build, so Spill() is a no-op and other consumers spill on
-/// the join's behalf (§5.3).
+/// the join's behalf (§5.3). Concurrent insert tasks reserve on it through
+/// the manager's lock.
 struct JoinBuildState : public MemoryConsumer {
   JoinBuildState() : MemoryConsumer("PhotonJoinBuild") {}
   ~JoinBuildState() override;
 
+  /// An empty build of `build_schema` rows keyed by `build_keys`, with
+  /// 2^partition_bits sub-tables, registered with `exec_ctx`'s memory
+  /// manager (if any) under its task group.
+  static JoinBuildPtr Make(const Schema& build_schema,
+                           const std::vector<ExprPtr>& build_keys,
+                           int partition_bits, const ExecContext& exec_ctx);
+
   int64_t Spill(int64_t) override { return 0; }
 
-  std::unique_ptr<VectorizedHashTable> table;
+  int num_partitions() const { return static_cast<int>(tables.size()); }
+  /// Sub-table of a key hash.
+  int PartitionOf(uint64_t hash) const {
+    return partition_bits == 0
+               ? 0
+               : VectorizedHashTable::HashPartition(hash, partition_bits);
+  }
+  /// Entry payload (all sub-tables share one entry layout).
+  const uint8_t* payload(const uint8_t* entry) const {
+    return tables[0]->payload(entry);
+  }
+  int64_t memory_bytes() const;
+
+  std::vector<std::unique_ptr<VectorizedHashTable>> tables;
+  int partition_bits = 0;
   std::vector<int> payload_offsets;
   int payload_bytes = 0;
   Schema build_schema;
-  int64_t build_rows = 0;
-  int64_t reserved_for_data = 0;
+  std::atomic<int64_t> build_rows{0};
   /// Manager the state is registered with (null = none); the destructor
   /// releases the build reservation and unregisters.
   MemoryManager* memory_manager = nullptr;
-  bool registered = false;
 };
 
-using JoinBuildPtr = std::shared_ptr<JoinBuildState>;
+/// One batch of a partitioned build's input after its hashing pass: the
+/// evaluated keys (compacted, so key row i is the batch's i-th active
+/// row), their hashes, and the active rows grouped by sub-table, in row
+/// order within each group.
+struct HashedBuildBatch {
+  const ColumnBatch* batch = nullptr;
+  std::unique_ptr<ColumnBatch> keys;
+  std::vector<uint64_t> hashes;
+  std::vector<int32_t> sel;      // active-set indices grouped by partition
+  std::vector<int32_t> offsets;  // partition p: sel[offsets[p], offsets[p+1])
+};
+
+/// Partitioned build, pass 1 (one task per input table): evaluates and
+/// hashes the keys of every batch of `input`. Reads `state` only.
+Result<std::vector<HashedBuildBatch>> HashBuildInput(
+    const JoinBuildState& state, const std::vector<ExprPtr>& build_keys,
+    const Table& input);
+
+/// Partitioned build, pass 2 (one task per sub-table): inserts partition
+/// `p`'s rows of every hashed batch into sub-table `p`, in input order.
+/// Tasks for distinct partitions may run concurrently.
+Status InsertBuildPartition(
+    JoinBuildState* state, int p,
+    const std::vector<std::vector<HashedBuildBatch>>& inputs);
 
 /// Vectorized hash join (§4.4, Figure 4). The build side is materialized
 /// into the vectorized hash table (entries are rows: keys + packed build
@@ -82,13 +137,6 @@ class HashJoinOperator : public Operator {
                    ExecContext exec_ctx = {}, ExprPtr residual = nullptr,
                    bool adaptive_compaction = true);
   ~HashJoinOperator() override;
-
-  /// Builds a shareable join-build state by draining `build_child`
-  /// (Open()..Close() included). Reservations go to the returned state
-  /// under `exec_ctx`'s memory manager and task group.
-  static Result<JoinBuildPtr> BuildShared(Operator* build_child,
-                                          const std::vector<ExprPtr>& build_keys,
-                                          const ExecContext& exec_ctx);
 
   Status Open() override;
   Result<ColumnBatch*> GetNextImpl() override;
@@ -145,6 +193,8 @@ class HashJoinOperator : public Operator {
   ColumnBatch* accum_source_ = nullptr;    // sparse batch partially consumed
   int accum_source_pos_ = 0;
   std::vector<uint64_t> hashes_;
+  std::vector<int32_t> part_sel_;      // partitioned probe: rows by sub-table
+  std::vector<int32_t> part_offsets_;
   std::vector<uint8_t*> match_heads_;
   VectorizedHashTable::ProbeScratch probe_scratch_;
   int probe_idx_ = 0;              // index into probe batch's active set

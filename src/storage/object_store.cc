@@ -23,8 +23,7 @@ void ObjectStore::SimulateIo(int64_t latency_us, size_t bytes) const {
 Status ObjectStore::Put(const std::string& key, std::string bytes) {
   SimulateIo(options_.put_latency_us, bytes.size());
   std::lock_guard<std::mutex> lock(mu_);
-  if (fail_puts_ > 0) {
-    fail_puts_--;
+  if (InjectPutFailure()) {
     return Status::IoError("injected failure writing '" + key + "'");
   }
   bytes_written_ += static_cast<int64_t>(bytes.size());
@@ -37,8 +36,7 @@ Result<bool> ObjectStore::PutIfAbsent(const std::string& key,
                                       std::string bytes) {
   SimulateIo(options_.put_latency_us, bytes.size());
   std::lock_guard<std::mutex> lock(mu_);
-  if (fail_puts_ > 0) {
-    fail_puts_--;
+  if (InjectPutFailure()) {
     return Status::IoError("injected failure writing '" + key + "'");
   }
   auto [it, inserted] = blobs_.try_emplace(key, std::move(bytes));

@@ -56,14 +56,30 @@ class ObjectStore {
   int64_t num_puts() const { return num_puts_; }
   int64_t num_gets() const { return num_gets_; }
 
-  /// Injects a failure on the next `n` Put calls (failure-injection tests).
-  void FailNextPuts(int n) { fail_puts_ = n; }
+  /// Injects a failure on `n` Put calls (failure-injection tests): the
+  /// next `after` puts succeed, the `n` after them fail.
+  void FailNextPuts(int n, int after = 0) {
+    std::lock_guard<std::mutex> lock(mu_);
+    pass_puts_ = after;
+    fail_puts_ = n;
+  }
   /// Injects a failure on the next `n` Get calls (read-side fault
   /// injection, exercised by CachingStore's retry path).
   void FailNextGets(int n) { fail_gets_ = n; }
 
  private:
   void SimulateIo(int64_t latency_us, size_t bytes) const;
+  /// Consumes one put of the FailNextPuts schedule; true = fail it.
+  /// Caller holds mu_.
+  bool InjectPutFailure() {
+    if (fail_puts_ == 0) return false;
+    if (pass_puts_ > 0) {
+      pass_puts_--;
+      return false;
+    }
+    fail_puts_--;
+    return true;
+  }
 
   Options options_;
   mutable std::mutex mu_;
@@ -72,6 +88,7 @@ class ObjectStore {
   mutable int64_t bytes_read_ = 0;
   mutable int64_t num_puts_ = 0;
   mutable int64_t num_gets_ = 0;
+  int pass_puts_ = 0;
   int fail_puts_ = 0;
   mutable int fail_gets_ = 0;
 };

@@ -2,6 +2,7 @@
 #define PHOTON_VECTOR_TABLE_H_
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "types/value.h"
@@ -34,6 +35,11 @@ class Table {
 
   void AppendBatch(std::unique_ptr<ColumnBatch> batch) {
     batches_.push_back(std::move(batch));
+  }
+
+  /// Moves every batch out, leaving the table empty.
+  std::vector<std::unique_ptr<ColumnBatch>> ReleaseBatches() {
+    return std::exchange(batches_, {});
   }
 
   /// Boxed row access across batch boundaries (test/debug convenience).

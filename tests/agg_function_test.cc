@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
+#include "common/byte_buffer.h"
 #include "common/rng.h"
+#include "types/big_decimal.h"
 #include "vector/table.h"
 
 namespace photon {
@@ -121,6 +125,119 @@ TEST(AggFunctionTest, AvgDecimalWidensScale) {
   h.Update({Value::Decimal(Decimal128::FromInt64(100)),
             Value::Decimal(Decimal128::FromInt64(200))});
   EXPECT_EQ(h.Finalize().decimal().ToString(6), "1.500000");
+}
+
+/// The BigDecimal finalize of a decimal sum/avg state, as the engine did
+/// it for every group before the int128 path: the exact sum
+/// wraps * 2^128 + sum, divided by count HALF_UP for avg, NULL beyond 38
+/// digits (nullopt).
+std::optional<int128_t> BigDecimalFinalize(int128_t sum, int64_t wraps,
+                                           int64_t count, bool is_avg,
+                                           int arg_scale, int result_scale) {
+  BigDecimal exact = BigDecimal::FromDecimal128(Decimal128(sum), arg_scale);
+  if (wraps != 0) {
+    BigDecimal two64_scaled = BigDecimal::FromDecimal128(
+        Decimal128(static_cast<int128_t>(1) << 64), arg_scale);
+    BigDecimal two64 = BigDecimal::FromDecimal128(
+        Decimal128(static_cast<int128_t>(1) << 64), 0);
+    exact = exact.Add(two64_scaled.Multiply(two64).Multiply(
+        BigDecimal::FromInt64(wraps, 0)));
+  }
+  if (is_avg) {
+    exact = exact.Divide(BigDecimal::FromInt64(count, 0), result_scale);
+  }
+  Decimal128 v;
+  if (!exact.ToDecimal128(result_scale, &v)) return std::nullopt;
+  return v.value();
+}
+
+/// Finalizes the decimal sum/avg state (sum, wraps, count) through the
+/// aggregate function itself (the state is installed via Deserialize).
+Value FinalizeDecimalState(AggKind kind, const DataType& arg, int128_t sum,
+                           int64_t wraps, int64_t count) {
+  Result<std::unique_ptr<AggregateFunction>> fn =
+      MakeAggregateFunction(kind, arg);
+  PHOTON_CHECK(fn.ok());
+  alignas(16) uint8_t state[64];
+  PHOTON_CHECK((*fn)->state_bytes() <= static_cast<int>(sizeof(state)));
+  (*fn)->Init(state);
+  BinaryWriter w;
+  uint128_t bits = static_cast<uint128_t>(sum);
+  w.WriteU64(static_cast<uint64_t>(bits));
+  w.WriteU64(static_cast<uint64_t>(bits >> 64));
+  w.WriteI64(wraps);
+  w.WriteI64(count);
+  BinaryReader r(w.data().data(), w.size());
+  PHOTON_CHECK((*fn)->Deserialize(&r, state).ok());
+  ColumnVector out((*fn)->result_type(), 1);
+  (*fn)->Finalize(state, &out, 0);
+  return out.GetValue(0);
+}
+
+TEST(AggFunctionTest, DecimalFinalizeMatchesBigDecimalBitForBit) {
+  const int128_t max38 = Decimal128::MaxValueForPrecision(38);
+  const int128_t i128_max = static_cast<int128_t>(~uint128_t{0} >> 1);
+  const int128_t i128_min = -i128_max - 1;
+  struct State {
+    int128_t sum;
+    int64_t wraps;
+    int64_t count;
+  };
+  std::vector<State> states = {
+      // Exact .5 ties at every avg shift used below (4, 2, 0), both signs.
+      {1, 0, 20000}, {-1, 0, 20000}, {3, 0, 20000}, {-3, 0, 20000},
+      {1, 0, 200}, {-1, 0, 200}, {5, 0, 2}, {-5, 0, 2}, {7, 0, 14},
+      // Just below and above a tie.
+      {9999, 0, 20000000}, {-10001, 0, 20000000},
+      // count = 1, zero, negatives.
+      {5, 0, 1}, {-5, 0, 1}, {0, 0, 1}, {0, 0, 7}, {-42, 0, 1},
+      // Sums at and beyond +-(10^38 - 1), and the int128 extremes.
+      {max38, 0, 1}, {-max38, 0, 1}, {max38 + 1, 0, 1}, {-max38 - 1, 0, 1},
+      {i128_max, 0, 1}, {i128_min, 0, 1}, {i128_max, 0, 3}, {i128_min, 0, 3},
+      // sum * 10^shift overflows int128 but the quotient fits.
+      {max38, 0, 10000}, {-max38, 0, 123456789}, {i128_max, 0, 1000000},
+      // Wrapped sums.
+      {123, 1, 5}, {-123, -1, 5}, {i128_max, 2, 7}, {1, -1, 1},
+      {i128_min, 1, 1}, {0, 1, 1000000000}};
+  Rng rng(29);
+  for (int i = 0; i < 3000; i++) {
+    const int bits = static_cast<int>(rng.Uniform(0, 127));
+    uint128_t mag = (static_cast<uint128_t>(rng.Next()) << 64) | rng.Next();
+    mag = bits == 0 ? 0 : mag >> (128 - bits);
+    int128_t sum = static_cast<int128_t>(mag);
+    if (rng.Uniform(0, 1) == 1) sum = -sum;
+    int64_t count = std::max<int64_t>(
+        1, static_cast<int64_t>(rng.Next() >> rng.Uniform(1, 63)));
+    int64_t wraps = rng.Uniform(0, 9) == 0 ? rng.Uniform(-3, 3) : 0;
+    states.push_back({sum, wraps, count});
+  }
+  // Arg types with avg shifts 4, 4, 2 and 0 (avg scale caps at 38).
+  for (const DataType& arg :
+       {DataType::Decimal(12, 2), DataType::Decimal(38, 0),
+        DataType::Decimal(38, 36), DataType::Decimal(38, 38)}) {
+    for (AggKind kind : {AggKind::kSum, AggKind::kAvg}) {
+      const bool is_avg = kind == AggKind::kAvg;
+      Result<DataType> result = AggResultType(kind, arg);
+      ASSERT_TRUE(result.ok());
+      for (const State& st : states) {
+        std::optional<int128_t> want =
+            BigDecimalFinalize(st.sum, st.wraps, st.count, is_avg,
+                               arg.scale(), result->scale());
+        Value got =
+            FinalizeDecimalState(kind, arg, st.sum, st.wraps, st.count);
+        SCOPED_TRACE(arg.ToString() + (is_avg ? " avg" : " sum") +
+                     " sum=" + Decimal128(st.sum).ToString(0) +
+                     " wraps=" + std::to_string(st.wraps) +
+                     " count=" + std::to_string(st.count));
+        if (!want.has_value()) {
+          EXPECT_TRUE(got.is_null());
+        } else {
+          ASSERT_FALSE(got.is_null());
+          EXPECT_TRUE(got.decimal().value() == *want);
+        }
+      }
+    }
+  }
 }
 
 TEST(AggFunctionTest, AvgInt32IsDouble) {

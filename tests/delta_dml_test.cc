@@ -419,6 +419,82 @@ TEST_F(DmlTest, FailedStagingWriteReleasesAndSurfacesError) {
   }
 }
 
+TEST_F(DmlTest, FailedSecondStagingWriteReleasesTheFirst) {
+  ASSERT_TRUE(table_->Append(KvTable(0, 100)).ok());
+  ASSERT_TRUE(table_->Append(KvTable(100, 200)).ok());
+  // Each statement rewrites both files and keeps rows in both, so it
+  // stages two files; the first write succeeds and the second fails.
+  ExprPtr pred = eb::And(eb::Ge(IdCol(), Lit(int64_t{50})),
+                         eb::Lt(IdCol(), Lit(int64_t{150})));
+  std::vector<dml::UpdateAssignment> set = {{1, Lit(int64_t{7})}};
+  Table source = KvTable(90, 110, 5000);  // matches rows of both files
+  std::vector<std::pair<std::string, Statement>> statements = {
+      {"delete",
+       [&](const ExecContext& ctx) {
+         return dml::ExecuteDelete(table_.get(), pred, &driver_, ctx);
+       }},
+      {"update",
+       [&](const ExecContext& ctx) {
+         return dml::ExecuteUpdate(table_.get(), set, pred, &driver_, ctx);
+       }},
+      {"merge",
+       [&](const ExecContext& ctx) {
+         return dml::ExecuteMerge(table_.get(), Upsert(&source), &driver_,
+                                  ctx);
+       }},
+  };
+  for (const auto& [name, statement] : statements) {
+    SCOPED_TRACE(name);
+    const int64_t puts_before = store_.num_puts();
+    store_.FailNextPuts(1, /*after=*/1);
+    auto result = statement(ctx_);
+    ASSERT_FALSE(result.ok());
+    EXPECT_TRUE(result.status().IsIoError()) << result.status().ToString();
+    EXPECT_EQ(store_.num_puts() - puts_before, 1);  // the first file staged
+    auto latest = table_->LatestVersion();
+    ASSERT_TRUE(latest.ok());
+    EXPECT_EQ(*latest, 2);  // nothing committed
+    ExpectNoLeakedDataFiles(&store_, table_.get());
+  }
+  EXPECT_EQ(ScanRows(table_.get(), &driver_).size(), 200u);
+}
+
+TEST_F(DmlTest, UpdateReadsEachCandidateFileOnce) {
+  // Three files: ids 50..59; ids 0..49 and 60..99 (the stats cover the
+  // predicate, no row matches); ids 100..199 (pruned).
+  ASSERT_TRUE(table_->Append(KvTable(50, 60)).ok());
+  TableBuilder gap(KvSchema());
+  for (int64_t id = 0; id < 100; id++) {
+    if (id < 50 || id >= 60) {
+      gap.AppendRow({Value::Int64(id), Value::Int64(id)});
+    }
+  }
+  ASSERT_TRUE(table_->Append(gap.Finish()).ok());
+  ASSERT_TRUE(table_->Append(KvTable(100, 200)).ok());
+  ExprPtr pred = eb::And(eb::Ge(IdCol(), Lit(int64_t{52})),
+                         eb::Le(IdCol(), Lit(int64_t{55})));
+  // What the statement's snapshot costs, to subtract.
+  int64_t gets = store_.num_gets();
+  ASSERT_TRUE(table_->Snapshot().ok());
+  const int64_t snapshot_gets = store_.num_gets() - gets;
+
+  std::vector<dml::UpdateAssignment> set = {{1, Lit(int64_t{-1})}};
+  gets = store_.num_gets();
+  auto result =
+      dml::ExecuteUpdate(table_.get(), set, pred, &driver_, ctx_);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(store_.num_gets() - gets - snapshot_gets, 2);  // 2 candidates
+  EXPECT_EQ(result->files_pruned, 1);
+  EXPECT_EQ(result->files_rewritten, 1);  // the gap file is not rewritten
+  EXPECT_EQ(result->rows_affected, 4);
+  auto snapshot = table_->Snapshot();
+  ASSERT_TRUE(snapshot.ok());
+  EXPECT_EQ(snapshot->files.size(), 3u);
+  for (const auto& [id, val] : ScanRows(table_.get(), &driver_)) {
+    EXPECT_EQ(val, id >= 52 && id <= 55 ? -1 : id) << "id " << id;
+  }
+}
+
 // --- Conflict retry convergence ---------------------------------------------
 
 TEST(DeltaDmlRaceTest, DisjointDeletesAllConvergeUnderRetry) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include <unordered_map>
 
 #include "common/rng.h"
@@ -231,6 +233,41 @@ TEST(VectorizedHashTableTest, SparseBatchProbes) {
   ht.Lookup(pkeys, *probe, ph.data(), pe.data());
   EXPECT_EQ(pe[0], be[0]);
   EXPECT_EQ(pe[1], be[2]);
+}
+
+/// Spill files, merge partitions and build partitions take a hash's high
+/// bits, and buckets its low bits: the hashes of one partition must reach
+/// every low-bit residue (a `hash % partitions` rule would pin the low
+/// bits, so a reloaded partition could only start in every 16th bucket).
+TEST(VectorizedHashTableTest, HashPartitionLeavesLowBitsSpread) {
+  constexpr int kRows = 65536;
+  Schema schema({Field("k", DataType::Int64())});
+  ColumnBatch batch(schema, kRows);
+  for (int i = 0; i < kRows; i++) {
+    batch.column(0)->data<int64_t>()[i] = i;
+    batch.column(0)->SetNotNull(i);
+  }
+  batch.set_num_rows(kRows);
+  batch.SetAllActive();
+  std::vector<uint64_t> hashes(kRows);
+  VectorizedHashTable::HashKeys({batch.column(0)}, batch, hashes.data());
+
+  constexpr int kLowBits = 8;
+  for (int skip : {0, 3}) {
+    std::vector<std::set<uint64_t>> residues(16);
+    for (uint64_t h : hashes) {
+      int p = VectorizedHashTable::HashPartition(h, 4, skip);
+      ASSERT_GE(p, 0);
+      ASSERT_LT(p, 16);
+      residues[p].insert(h & ((uint64_t{1} << kLowBits) - 1));
+      // Fewer bits refine coarser: 3-bit partitions are 4-bit ones >> 1.
+      EXPECT_EQ(VectorizedHashTable::HashPartition(h, 3, skip), p >> 1);
+    }
+    for (int p = 0; p < 16; p++) {
+      EXPECT_EQ(residues[p].size(), size_t{1} << kLowBits)
+          << "partition " << p << " skip " << skip;
+    }
+  }
 }
 
 }  // namespace

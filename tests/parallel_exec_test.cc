@@ -1,11 +1,12 @@
 // Tests for morsel-parallel plan execution through the generalized Driver:
-// result equivalence against single-task execution at 1/2/8 threads,
+// result equivalence against single-task execution at 1/2/4/8 threads,
 // memory-manager correctness under concurrent tasks (including spilling
 // under pressure), and the stage-planner / morsel-split building blocks.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
@@ -14,6 +15,7 @@
 #include "expr/builder.h"
 #include "io/block_cache.h"
 #include "memory/memory_manager.h"
+#include "ops/hash_join.h"
 #include "plan/logical_plan.h"
 #include "plan/stage_planner.h"
 #include "storage/delta.h"
@@ -55,7 +57,7 @@ ExprPtr ColK() { return eb::Col(0, DataType::Int64(), "k"); }
 ExprPtr ColV() { return eb::Col(1, DataType::Int64(), "v"); }
 ExprPtr ColS() { return eb::Col(2, DataType::String(), "s"); }
 
-/// Runs `plan` single-task and through parallel drivers at 1/2/8 threads;
+/// Runs `plan` single-task and through parallel drivers at 1/2/4/8 threads;
 /// asserts every parallel run matches the single-task row set and that all
 /// parallel runs are bitwise-identical to each other (thread-count
 /// independence, including row order).
@@ -66,7 +68,7 @@ void ExpectParallelMatchesSingle(const plan::PlanPtr& plan,
   ASSERT_TRUE(single.ok()) << single.status().ToString();
 
   std::vector<std::vector<std::vector<Value>>> parallel_rows;
-  for (int threads : {1, 2, 8}) {
+  for (int threads : {1, 2, 4, 8}) {
     exec::Driver driver(threads);
     std::vector<exec::StageInfo> stages;
     Result<Table> out = driver.Run(plan, ctx, &stages);
@@ -81,8 +83,9 @@ void ExpectParallelMatchesSingle(const plan::PlanPtr& plan,
   }
   // Morsel decomposition is input-derived, so thread count must not change
   // anything — not even row order.
-  EXPECT_EQ(parallel_rows[0], parallel_rows[1]);
-  EXPECT_EQ(parallel_rows[0], parallel_rows[2]);
+  for (size_t i = 1; i < parallel_rows.size(); i++) {
+    EXPECT_EQ(parallel_rows[0], parallel_rows[i]);
+  }
 }
 
 // --- Building blocks --------------------------------------------------------
@@ -200,6 +203,60 @@ TEST(ParallelEquivalenceTest, LeftOuterAndSemiJoins) {
   }
 }
 
+/// A build side of several morsels and more rows than the partitioning
+/// threshold, with ~400 rows per key: the driver inserts it one hash
+/// partition per task into sub-tables, and every join type must still
+/// return exactly the rows, in exactly the order, of the single task's one
+/// streaming table — each key's match chain is unchanged.
+TEST(ParallelEquivalenceTest, PartitionedJoinBuildKeepsChainOrder) {
+  Table probe = MakeTable(300, 64, 13);
+  Table build = MakeTable(40000, 256, 17);  // 157 batches -> 20 morsels
+  // Build keys cover only part of the probe key domain.
+  plan::PlanPtr build_side =
+      plan::Filter(plan::Scan(&build), eb::Lt(ColK(), eb::Lit(int64_t{80})));
+  exec::Driver reference(1);
+  for (JoinType jt : {JoinType::kInner, JoinType::kLeftOuter,
+                      JoinType::kLeftSemi, JoinType::kLeftAnti}) {
+    plan::PlanPtr p = plan::Join(plan::Scan(&probe), build_side, jt,
+                                 {ColK()}, {ColK()});
+    Result<Table> single = reference.RunSingleTask(p);
+    ASSERT_TRUE(single.ok()) << single.status().ToString();
+    const std::vector<std::vector<Value>> want = single->ToRows();
+    for (int threads : {1, 4, 8}) {
+      SCOPED_TRACE("join type " + std::to_string(static_cast<int>(jt)) +
+                   ", threads " + std::to_string(threads));
+      exec::Driver driver(threads);
+      std::vector<exec::StageInfo> stages;
+      Result<Table> out = driver.Run(p, {}, &stages);
+      ASSERT_TRUE(out.ok()) << out.status().ToString();
+      EXPECT_EQ(out->ToRows(), want);
+      // Build-side scan, build (8 partition tasks), probe.
+      ASSERT_EQ(stages.size(), 3u);
+      EXPECT_EQ(stages[1].num_tasks, std::min(threads, 8));
+      EXPECT_GT(stages[1].cpu_ns(), 0);
+    }
+  }
+}
+
+/// Every final-merge partition runs as its own task of the merge stage,
+/// which reports its tasks and CPU like any other stage.
+TEST(ParallelEquivalenceTest, FinalMergeRunsOneTaskPerPartition) {
+  Table t = MakeTable(20000, 256);  // 79 batches -> 10 morsels
+  plan::PlanPtr p = plan::Aggregate(
+      plan::Scan(&t), {ColV()}, {"v"},  // v unique: every partition used
+      {AggregateSpec{AggKind::kCountStar, nullptr, "n"}});
+  exec::Driver driver(4);
+  std::vector<exec::StageInfo> stages;
+  Result<Table> out = driver.Run(p, {}, &stages);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_EQ(out->num_rows(), 20000);
+  ASSERT_EQ(stages.size(), 2u);  // partial, merge
+  EXPECT_EQ(stages[1].num_tasks, 4);
+  EXPECT_EQ(stages[1].rows_out(), 20000);
+  EXPECT_GT(stages[1].cpu_ns(), 0);
+  ExpectParallelMatchesSingle(p);
+}
+
 TEST(ParallelEquivalenceTest, SortedRunsMerge) {
   Table t = MakeTable(20000, 256);
   std::vector<SortKey> keys;
@@ -293,7 +350,7 @@ TEST(ParallelEquivalenceTest, DeltaScanWithDataSkipping) {
   EXPECT_EQ(row_groups_skipped, 4);
 }
 
-/// Every TPC-H query at 1/2/8 threads must reproduce the single-task
+/// Every TPC-H query at 1/2/4/8 threads must reproduce the single-task
 /// result — the acceptance bar for the morsel-parallel driver.
 class TpchParallelTest : public ::testing::TestWithParam<int> {};
 
@@ -362,6 +419,56 @@ TEST(ParallelMemoryTest, ConcurrentSortSpillsUnderPressure) {
   EXPECT_EQ(out->num_rows(), unlimited->num_rows());
   EXPECT_EQ(Sorted(out->ToRows()), Sorted(unlimited->ToRows()));
   EXPECT_GT(mm.spill_count(), 0);
+  EXPECT_EQ(mm.reserved(), 0);
+}
+
+/// The partitioned build's insert tasks all reserve on one JoinBuildState
+/// at once (through the manager's lock); every reservation must land, and
+/// all of it must come back when the build is dropped.
+TEST(ParallelMemoryTest, ConcurrentBuildReservationsOnOneJoinBuildState) {
+  Table build = MakeTable(40000, 256, 19);
+  MemoryManager mm(int64_t{1} << 30);
+  ExecContext ctx;
+  ctx.memory_manager = &mm;
+  JoinBuildPtr state =
+      JoinBuildState::Make(build.schema(), {ColK()}, /*partition_bits=*/3, ctx);
+  ASSERT_EQ(state->num_partitions(), 8);
+  Result<std::vector<HashedBuildBatch>> hashed =
+      HashBuildInput(*state, {ColK()}, build);
+  ASSERT_TRUE(hashed.ok()) << hashed.status().ToString();
+  std::vector<std::vector<HashedBuildBatch>> inputs;
+  inputs.push_back(std::move(*hashed));
+  std::vector<std::thread> threads;
+  std::vector<Status> results(state->num_partitions());
+  for (int p = 0; p < state->num_partitions(); p++) {
+    threads.emplace_back([&, p] {
+      results[p] = InsertBuildPartition(state.get(), p, inputs);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (const Status& st : results) EXPECT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(state->build_rows.load(), 40000);
+  int64_t entries = 0;
+  for (const auto& table : state->tables) entries += table->num_entries();
+  EXPECT_EQ(entries, 40000);
+  const int64_t expected = int64_t{40000} * (state->payload_bytes + 96);
+  EXPECT_EQ(state->reserved_bytes(), expected);
+  EXPECT_EQ(mm.reserved(), expected);
+  state.reset();
+  EXPECT_EQ(mm.reserved(), 0);
+
+  // The same through the driver: a partitioned build under a manager
+  // returns the unlimited rows and leaves nothing reserved.
+  Table probe = MakeTable(2000, 128, 23);
+  plan::PlanPtr p = plan::Join(plan::Scan(&probe), plan::Scan(&build),
+                               JoinType::kLeftSemi, {ColK()}, {ColK()});
+  exec::Driver reference(1);
+  Result<Table> want = reference.RunSingleTask(p);
+  ASSERT_TRUE(want.ok());
+  exec::Driver driver(8);
+  Result<Table> got = driver.Run(p, ctx);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(got->ToRows(), want->ToRows());
   EXPECT_EQ(mm.reserved(), 0);
 }
 
